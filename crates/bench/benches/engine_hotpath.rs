@@ -1,15 +1,15 @@
 //! Criterion bench: the execution core's hot path — one shot of a
-//! DAQ-wait-bound feedback workload, cycle-stepped vs event-driven vs
-//! lowered.
+//! DAQ-wait-bound feedback workload, cycle-stepped reference vs the
+//! event-driven lowered core.
 //!
 //! The `*_event` variants must come out far ahead of their `*_cycle`
 //! twins (≥ 5x on the MRCE chain): the workload spends most of every
 //! round stalled on the acquisition chain, and the event core jumps
-//! those spans instead of ticking them. The `*_lowered` variants run the
-//! same workloads on the pre-resolved micro-op array and should beat
-//! `*_event`; `*_lowered_arena` adds per-worker scratch reuse on top
-//! (no per-shot machine construction), and the `lowering` rows price the
-//! one-time compile-side lowering cost those savings amortise.
+//! those spans on the pre-resolved micro-op array instead of ticking
+//! them. `*_event_arena` adds per-worker scratch reuse on top (no
+//! per-shot machine construction — the engine's default path), and the
+//! `lowering` rows price the one-time compile-side lowering cost those
+//! savings amortise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use quape_core::{CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, StepMode};
@@ -83,7 +83,6 @@ fn bench(c: &mut Criterion) {
         .expect("job compiles");
     shot_bench(c, "fig02_shot_cycle", &fig02, StepMode::Cycle);
     shot_bench(c, "fig02_shot_event", &fig02, StepMode::EventDriven);
-    shot_bench(c, "fig02_shot_lowered", &fig02, StepMode::Lowered);
 
     let fmr = CompiledJob::compile(
         cfg.clone(),
@@ -102,15 +101,7 @@ fn bench(c: &mut Criterion) {
         StepMode::EventDriven,
         ReportMode::Lean,
     );
-    shot_bench(c, "fmr_chain1k_lowered", &fmr, StepMode::Lowered);
-    shot_bench_with(
-        c,
-        "fmr_chain1k_lowered_lean",
-        &fmr,
-        StepMode::Lowered,
-        ReportMode::Lean,
-    );
-    arena_bench(c, "fmr_chain1k_lowered_arena", &fmr);
+    arena_bench(c, "fmr_chain1k_event_arena", &fmr);
     lowering_bench(c, "lowering_fmr_chain1k", &fmr);
 
     let mrce = CompiledJob::compile(
@@ -120,8 +111,7 @@ fn bench(c: &mut Criterion) {
     .expect("job compiles");
     shot_bench(c, "mrce_chain1k_cycle", &mrce, StepMode::Cycle);
     shot_bench(c, "mrce_chain1k_event", &mrce, StepMode::EventDriven);
-    shot_bench(c, "mrce_chain1k_lowered", &mrce, StepMode::Lowered);
-    arena_bench(c, "mrce_chain1k_lowered_arena", &mrce);
+    arena_bench(c, "mrce_chain1k_event_arena", &mrce);
 
     // AWG-playback-bound: dense parallel pulse trains on a multiplexed
     // readout keep the device timeline, occupancy checks and DAQ demod
@@ -142,13 +132,6 @@ fn bench(c: &mut Criterion) {
         "awg_playback_event_lean",
         &awg,
         StepMode::EventDriven,
-        ReportMode::Lean,
-    );
-    shot_bench_with(
-        c,
-        "awg_playback_lowered_lean",
-        &awg,
-        StepMode::Lowered,
         ReportMode::Lean,
     );
     lowering_bench(c, "lowering_pulse_train", &awg);

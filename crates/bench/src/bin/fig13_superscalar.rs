@@ -40,10 +40,12 @@ fn batch_throughput(shots: u64) {
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let shots = std::env::args()
-        .position(|a| a == "--shots")
-        .and_then(|pos| std::env::args().nth(pos + 1))
-        .and_then(|s| s.parse().ok());
+    let shots: Option<u64> = std::env::args().position(|a| a == "--shots").map(|pos| {
+        let v = std::env::args()
+            .nth(pos + 1)
+            .expect("--shots needs a number");
+        v.parse().expect("--shots needs a number")
+    });
     let rows = fig13::run();
     if json {
         println!("{}", to_json(&rows));

@@ -46,10 +46,10 @@ fn main() {
         if stack {
             eprintln!("fig14_simrb: --batch replaces the figure run; ignoring --stack");
         }
-        let shots = std::env::args()
-            .nth(pos + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(256);
+        let shots = match std::env::args().nth(pos + 1) {
+            Some(v) if !v.starts_with("--") => v.parse().expect("--batch needs a number"),
+            _ => 256,
+        };
         batch_comparison(shots, json);
         return;
     }

@@ -9,9 +9,10 @@
 //! Without `--machines` the builtin grid (baseline, superscalar,
 //! multiprocessor-4) runs; with it, every `machines/*.json` description
 //! is swept in file-stem order. Every machine × workload cell executes
-//! `--repeats` times (min 2) and the run exits nonzero if any repeat's
-//! aggregate diverges — the sweep is also the determinism gate for the
-//! whole declarative config surface. `--check-roundtrip` additionally
+//! `--repeats` times (min 2, the second under the cycle-stepped oracle)
+//! and the run exits nonzero if any repeat's aggregate diverges — the
+//! sweep is also the determinism gate for the whole declarative config
+//! surface. `--check-roundtrip` additionally
 //! verifies each committed description file re-serializes
 //! byte-identically. `--dry-run` stops after those static checks
 //! (loading, validation, round-trip) without executing the sweep —

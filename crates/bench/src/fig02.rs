@@ -59,8 +59,9 @@ pub fn mean_total_with_jitter(cfg: &QuapeConfig, runs: usize) -> f64 {
     total as f64 / runs as f64
 }
 
-/// Host-side wall-time comparison of the three step modes on one
-/// workload.
+/// Host-side wall-time comparison of the two step modes on one
+/// workload: the cycle-stepped reference oracle against the event-driven
+/// lowered core.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StepModeComparison {
     /// Workload name.
@@ -75,12 +76,8 @@ pub struct StepModeComparison {
     pub cycle_shots_per_sec: f64,
     /// Event-driven host throughput.
     pub event_shots_per_sec: f64,
-    /// Lowered (micro-op fast path) host throughput.
-    pub lowered_shots_per_sec: f64,
     /// Event-driven over cycle-stepped speedup.
     pub speedup: f64,
-    /// Lowered over event-driven speedup (the pre-decode win).
-    pub lowered_speedup: f64,
     /// Per-workload floor the CI gate scales its `--min-speedup` by:
     /// 1.0 for the wait-dominated workloads the event-driven claim is
     /// about, 0.9 for the device-saturated pulse train where the two
@@ -116,35 +113,22 @@ fn compare_one(
     };
     let mut cycle = run(StepMode::Cycle);
     let mut event = run(StepMode::EventDriven);
-    let mut lowered = run(StepMode::Lowered);
     assert_eq!(
         cycle.aggregate, event.aggregate,
         "step modes must agree on {workload}"
     );
-    assert_eq!(
-        cycle.aggregate, lowered.aggregate,
-        "lowered mode must agree on {workload}"
-    );
     for _ in 1..repeats.max(1) {
         let c = run(StepMode::Cycle);
         let e = run(StepMode::EventDriven);
-        let l = run(StepMode::Lowered);
         assert_eq!(
             c.aggregate, e.aggregate,
             "step modes must agree on {workload}"
-        );
-        assert_eq!(
-            c.aggregate, l.aggregate,
-            "lowered mode must agree on {workload}"
         );
         if c.wall_time < cycle.wall_time {
             cycle = c;
         }
         if e.wall_time < event.wall_time {
             event = e;
-        }
-        if l.wall_time < lowered.wall_time {
-            lowered = l;
         }
     }
     StepModeComparison {
@@ -154,9 +138,7 @@ fn compare_one(
         p50_cycles: event.aggregate.cycles.p50,
         cycle_shots_per_sec: cycle.shots_per_sec(),
         event_shots_per_sec: event.shots_per_sec(),
-        lowered_shots_per_sec: lowered.shots_per_sec(),
         speedup: event.shots_per_sec() / cycle.shots_per_sec(),
-        lowered_speedup: lowered.shots_per_sec() / event.shots_per_sec(),
         gate_floor,
     }
 }

@@ -6,8 +6,9 @@
 //! through a fixed workload grid (the Fig. 2 feedback chain, a wide
 //! pulse train, a 10-qubit readout burst, and a slice of the
 //! mixed-traffic request stream) and reports per-cell aggregates. Every cell is executed `repeats ≥ 2`
-//! times and the run **fails** if any repeat's [`BatchAggregate`]
-//! diverges: the sweep doubles as a determinism check across the whole
+//! times — the second time under the cycle-stepped oracle — and the run
+//! **fails** if any repeat's [`BatchAggregate`] diverges: the sweep
+//! doubles as a determinism and step-mode check across the whole
 //! declarative config surface.
 
 use quape_core::{
@@ -244,9 +245,10 @@ fn summarize(machine: &str, workload: &str, aggs: &[BatchAggregate]) -> SweepRow
 }
 
 /// Runs the workload grid across `machines`. Every cell executes
-/// `repeats` times (min 2) and must produce bit-identical aggregates
-/// each time — the sweep asserts the declarative surface changes *what*
-/// runs, never *whether* a run is reproducible.
+/// `repeats` times (min 2; repeat 1 under [`StepMode::Cycle`], the rest
+/// event-driven) and must produce bit-identical aggregates each time —
+/// the sweep asserts the declarative surface changes *what* runs, never
+/// *whether* a run is reproducible.
 ///
 /// # Errors
 ///
@@ -266,15 +268,20 @@ pub fn run_sweep(
             .to_config()
             .map_err(|e| format!("machine {}: {e}", m.name))?;
         for workload in &grid {
-            let first = run_cell(&cfg, m.desc.step_mode, workload, seed)
+            let first = run_cell(&cfg, StepMode::EventDriven, workload, seed)
                 .map_err(|e| format!("machine {}: {e}", m.name))?;
             for rerun in 1..repeats {
-                let again = run_cell(&cfg, m.desc.step_mode, workload, seed)
+                let mode = if rerun == 1 {
+                    StepMode::Cycle
+                } else {
+                    StepMode::EventDriven
+                };
+                let again = run_cell(&cfg, mode, workload, seed)
                     .map_err(|e| format!("machine {}: {e}", m.name))?;
                 if again != first {
                     return Err(format!(
-                        "nondeterministic aggregate: machine {} workload {} diverged on \
-                         repeat {rerun}",
+                        "aggregate diverged: machine {} workload {} on repeat {rerun} \
+                         ({mode:?})",
                         m.name, workload.name
                     ));
                 }

@@ -421,9 +421,10 @@ impl EngineObs {
 ///
 /// One scratch per worker thread; the engine's own `run` loops keep one
 /// per worker automatically. The scratch lazily holds a
-/// [`LoweredShotRunner`] keyed by job digest: shots of the same job
-/// reuse its arena, a different job rebuilds it (so external pools —
-/// e.g. the job service's workers — may hold one scratch across jobs).
+/// [`LoweredShotRunner`] keyed by job digest: every lean event-driven
+/// shot (the engine default) of the same job reuses its arena, a
+/// different job rebuilds it (so external pools — e.g. the job
+/// service's workers — may hold one scratch across jobs).
 #[derive(Default)]
 pub struct WorkerScratch {
     runner: Option<LoweredShotRunner>,
@@ -482,8 +483,8 @@ impl ShotEngine {
     /// Creates an engine for `job` with backends from `factory`.
     ///
     /// Defaults: automatic thread count (`available_parallelism`), base
-    /// seed from the job's config, 10-million-cycle budget per shot, and
-    /// event-driven stepping.
+    /// seed from the job's config, 10-million-cycle budget per shot,
+    /// event-driven stepping on the lowered core, and lean reports.
     pub fn new(job: CompiledJob, factory: impl QpuFactory + 'static) -> Self {
         let base_seed = job.cfg().seed;
         ShotEngine {
@@ -516,8 +517,9 @@ impl ShotEngine {
         self
     }
 
-    /// Sets how shots advance time. [`StepMode::EventDriven`] (the
-    /// default) skips provably idle spans; [`StepMode::Cycle`] is the
+    /// Selects the interpreter. [`StepMode::EventDriven`] (the default)
+    /// runs the lowered core and skips provably idle spans;
+    /// [`StepMode::Cycle`] runs the reference processor every cycle — the
     /// bit-identical slow oracle for differential testing and perf
     /// comparisons.
     pub fn step_mode(mut self, step_mode: StepMode) -> Self {
@@ -578,21 +580,21 @@ impl ShotEngine {
     }
 
     /// [`run_shot`](ShotEngine::run_shot) with a per-worker reusable
-    /// arena: in the lean lowered configuration (the engine's hot path)
+    /// arena: in the default configuration (event-driven, lean reports)
     /// the shot runs on `scratch`'s [`LoweredShotRunner`], so machine
-    /// state is reset in place instead of reallocated per shot. Any
-    /// other step/report mode falls back to the fresh-state path. The
-    /// summary is bit-identical either way — `scratch` affects host
-    /// allocation behaviour only, and it revalidates itself against the
-    /// engine's job, so one scratch may serve engines of different jobs
-    /// sequentially.
+    /// state is reset in place instead of reallocated per shot. The
+    /// [`StepMode::Cycle`] oracle and [`ReportMode::Full`] build fresh
+    /// state per shot. The summary is bit-identical either way —
+    /// `scratch` affects host allocation behaviour only, and it
+    /// revalidates itself against the engine's job, so one scratch may
+    /// serve engines of different jobs sequentially.
     pub fn run_shot_reusing(&self, shot: u64, scratch: &mut WorkerScratch) -> ShotSummary {
         let seed = shot_seed(self.base_seed, shot);
         // Distinct derived streams for the backend and the machine's DAQ
         // jitter so the two never correlate.
         let qpu = self.factory.create(seed);
         let machine_seed = splitmix64(seed ^ 0x51AE_17E5);
-        if self.step_mode == StepMode::Lowered && self.report_mode == ReportMode::Lean {
+        if self.step_mode == StepMode::EventDriven && self.report_mode == ReportMode::Lean {
             let runner = scratch.runner_for(&self.job);
             let outcome = runner.run_shot(qpu, machine_seed, self.cycle_limit);
             let summary = ShotSummary {

@@ -1,13 +1,14 @@
 //! Pins the engine's worker-scratch contract: with a reused
-//! [`WorkerScratch`], the lean lowered hot path reaches an allocation
-//! fixed point — steady-state shots do not grow the heap, and the
-//! per-shot allocation count is a small constant (backend construction
-//! plus the returned digest), independent of program size.
+//! [`WorkerScratch`], a default engine (event-driven, lean reports)
+//! reaches an allocation fixed point — steady-state shots do not grow
+//! the heap, and the per-shot allocation count is a small constant
+//! (backend construction plus the returned digest), independent of
+//! program size.
 //!
 //! The whole file is one test binary on purpose: the counting allocator
 //! is global, and other tests' allocations would pollute the counts.
 
-use quape_core::{CompiledJob, QuapeConfig, ShotEngine, StepMode, WorkerScratch};
+use quape_core::{CompiledJob, QuapeConfig, ShotEngine, WorkerScratch};
 use quape_isa::{ClassicalOp, Cond, Gate1, Program, ProgramBuilder, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,10 +68,8 @@ fn reused_scratch_reaches_an_allocation_fixed_point() {
     let job = CompiledJob::compile(cfg.clone(), fmr_chain(64)).expect("job compiles");
     let factory =
         BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
-    let engine = ShotEngine::new(job, factory)
-        .base_seed(7)
-        .step_mode(StepMode::Lowered)
-        .threads(1);
+    // No `.step_mode(..)`: the default path must be the arena path.
+    let engine = ShotEngine::new(job, factory).base_seed(7).threads(1);
 
     let mut scratch = WorkerScratch::new();
     // Warmup: builds the arena and grows every buffer to the workload's
@@ -108,7 +107,7 @@ fn reused_scratch_reaches_an_allocation_fixed_point() {
     let per_shot = first / N;
     assert!(
         per_shot <= 8,
-        "lean lowered shots should stay allocation-light, got {per_shot} allocations/shot"
+        "default engine shots should stay allocation-light, got {per_shot} allocations/shot"
     );
 
     // The same batch without scratch reuse rebuilds machine state per

@@ -1,16 +1,16 @@
-//! Deterministic three-way executor equivalence suite.
+//! Deterministic two-way executor equivalence suite.
 //!
-//! The machine has three executors over one microarchitecture model: the
-//! cycle-stepped oracle (`StepMode::Cycle`), the event-driven time-skip
-//! loop (`StepMode::EventDriven`), and the lowered micro-op fast path
-//! (`StepMode::Lowered`). On every workload here — FMR feedback chains,
-//! MRCE context switching, branch loops with live ALU state, multi-block
-//! scheduling — all three must produce bit-identical [`RunReport`]s, and
-//! the shot engine must produce bit-identical [`BatchAggregate`]s.
+//! The machine has two executors over one microarchitecture model: the
+//! cycle-stepped reference oracle (`StepMode::Cycle`) and the
+//! event-driven lowered core (`StepMode::EventDriven`). On every
+//! workload here — FMR feedback chains, MRCE context switching, branch
+//! loops with live ALU state, multi-block scheduling — both must produce
+//! bit-identical [`RunReport`]s, and the shot engine must produce
+//! bit-identical [`BatchAggregate`]s.
 
 use quape_core::{
-    BatchAggregate, CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, RunReport, ShotEngine,
-    StepMode,
+    BatchAggregate, CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, RunReport, Shot,
+    ShotEngine, StepMode,
 };
 use quape_isa::{
     ClassicalOp, Cond, CondOp, Dependency, Gate1, Program, ProgramBuilder, QuantumOp, Qubit, Reg,
@@ -99,15 +99,17 @@ fn two_blocks() -> Program {
     b.finish().expect("valid two-block program")
 }
 
-fn run(job: &CompiledJob, mode: StepMode, seed: u64) -> RunReport {
+fn shot(job: &CompiledJob, seed: u64) -> Shot {
     let qpu = BehavioralQpu::new(
         job.cfg().timings,
         MeasurementModel::Bernoulli { p_one: 0.5 },
         seed,
     );
-    job.shot(Box::new(qpu), seed)
-        .report_mode(ReportMode::Full)
-        .run_with_mode(mode, 2_000_000)
+    job.shot(Box::new(qpu), seed).report_mode(ReportMode::Full)
+}
+
+fn run(job: &CompiledJob, mode: StepMode, seed: u64) -> RunReport {
+    shot(job, seed).run_with_mode(mode, 2_000_000)
 }
 
 fn workloads() -> Vec<(&'static str, Program)> {
@@ -120,18 +122,39 @@ fn workloads() -> Vec<(&'static str, Program)> {
 }
 
 #[test]
-fn all_three_step_modes_are_bit_identical() {
+fn both_step_modes_are_bit_identical() {
     for (label, program) in workloads() {
         for cfg in [QuapeConfig::uniprocessor(), QuapeConfig::superscalar(4)] {
             let job = CompiledJob::compile(cfg, program.clone()).expect("job compiles");
             for seed in [3, 17, 40] {
                 let cycle = run(&job, StepMode::Cycle, seed);
                 let event = run(&job, StepMode::EventDriven, seed);
-                let lowered = run(&job, StepMode::Lowered, seed);
                 assert!(cycle.issued_ops > 0, "{label}: trivial run");
                 assert_eq!(cycle, event, "{label}/{seed}: event-driven diverged");
-                assert_eq!(cycle, lowered, "{label}/{seed}: lowered diverged");
             }
+        }
+    }
+}
+
+/// A shot already advanced with [`Shot::step`] cannot move onto the
+/// lowered core mid-run, so `run_with_mode(EventDriven)` finishes it
+/// cycle-stepped — with the same report as an un-stepped run.
+#[test]
+fn manually_stepped_shots_finish_with_identical_reports() {
+    for (label, program) in workloads() {
+        let job = CompiledJob::compile(QuapeConfig::superscalar(4), program).expect("job compiles");
+        let unstepped = run(&job, StepMode::EventDriven, 17);
+        for steps in [1, 7, 40] {
+            let mut stepped = shot(&job, 17);
+            for _ in 0..steps {
+                stepped.step();
+            }
+            assert_eq!(stepped.cycle(), steps);
+            assert_eq!(
+                stepped.run_with_mode(StepMode::EventDriven, 2_000_000),
+                unstepped,
+                "{label}: diverged after {steps} manual steps"
+            );
         }
     }
 }
@@ -153,16 +176,14 @@ fn engine_batches_are_identical_across_step_modes() {
         };
         let cycle = batch(StepMode::Cycle);
         let event = batch(StepMode::EventDriven);
-        let lowered = batch(StepMode::Lowered);
         assert_eq!(cycle, event, "{label}: event-driven batch diverged");
-        assert_eq!(cycle, lowered, "{label}: lowered batch diverged");
     }
 }
 
 /// The arena reset must be indistinguishable from fresh construction:
 /// pumping shots through one reused [`LoweredShotRunner`] yields the
-/// same outcome, shot for shot, as building a fresh lean lowered
-/// [`Shot`](quape_core::Shot) per seed — across every workload,
+/// same outcome, shot for shot, as building a fresh lean event-driven
+/// [`Shot`] per seed — across every workload,
 /// including multi-block scheduling where the reset has to rewind the
 /// scheduler table and the icache banks.
 #[test]
@@ -182,7 +203,7 @@ fn reused_runner_matches_fresh_shots() {
                 let fresh = job
                     .shot(qpu(), seed)
                     .report_mode(ReportMode::Lean)
-                    .run_with_mode(StepMode::Lowered, 2_000_000);
+                    .run_with_mode(StepMode::EventDriven, 2_000_000);
                 let reused = runner.run_shot(qpu(), seed, 2_000_000);
                 assert_eq!(fresh.cycles, reused.cycles, "{label}/{seed}: cycles");
                 assert_eq!(fresh.stop, reused.stop, "{label}/{seed}: stop");

@@ -5,7 +5,7 @@
 //! a binary search from instruction address to circuit step. Lowering a
 //! program once at compile time produces a contiguous [`MicroOp`] array in
 //! which all of that is pre-resolved, so a flat dispatch loop (the
-//! `StepMode::Lowered` executor in `quape-core`) spends its cycles on the
+//! `StepMode::EventDriven` executor in `quape-core`) spends its cycles on the
 //! microarchitecture model instead of on decoding — the same
 //! frontend/backend split that keeps issue logic trivial in QuMA-style
 //! control processors.

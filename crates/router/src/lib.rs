@@ -9,7 +9,7 @@
 //!
 //! * **Capability-aware placement** ([`ShardProfile`],
 //!   [`JobRequirements`]): shards are heterogeneous (qubit capacity,
-//!   readout multiplexing, demod slots, supported step modes); submit
+//!   readout multiplexing, demod slots); submit
 //!   filters infeasible shards *before* the [`Placement`] policy
 //!   (round-robin / least-loaded / sticky-by-digest) picks among the
 //!   capable ones, and rejects with [`JobError::NoCapableShard`]
@@ -96,7 +96,7 @@ pub use fleet::{
     FaultPlan, FleetHandle, Placement, RetryPolicy, RoutedJob, RoutedResult, Router, RouterConfig,
     RouterFinishHook, ShardStatus, StealConfig,
 };
-pub use profile::{JobRequirements, ShardProfile, StepModeSet};
+pub use profile::{JobRequirements, ShardProfile};
 pub use snapshot::{FleetSnapshot, ShardSnapshot, TenantStatsRow};
 // The error type jobs and admission surface; re-exported so router
 // users match on one import.

@@ -1,10 +1,11 @@
 //! Fault-tolerance suite: kill-a-shard re-routing (deterministic and
 //! property-based), planned retirement, capability filtering, work
 //! stealing, and admission control — every surviving job's aggregate
-//! bit-identical to a solo `ShotEngine` run.
+//! bit-identical to a solo `ShotEngine` run of the cycle-stepped
+//! reference oracle.
 
 use proptest::prelude::*;
-use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine};
+use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine, StepMode};
 use quape_isa::Program;
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_router::{
@@ -36,6 +37,7 @@ fn solo(choice: u8, shots: u64, seed: u64) -> BatchAggregate {
     let job = CompiledJob::compile(c.clone(), program(choice)).unwrap();
     ShotEngine::new(job, coin(&c))
         .base_seed(seed)
+        .step_mode(StepMode::Cycle)
         .threads(1)
         .run(shots)
         .aggregate

@@ -1,10 +1,10 @@
 //! Router differential suite: per-job aggregates are bit-identical to
-//! solo `ShotEngine` runs regardless of shard count, placement policy,
-//! or cancellation timing — plus placement-policy behavior and
-//! fleet-wide tenant accounting.
+//! solo `ShotEngine` runs of the cycle-stepped reference oracle
+//! regardless of shard count, placement policy, or cancellation timing —
+//! plus placement-policy behavior and fleet-wide tenant accounting.
 
 use proptest::prelude::*;
-use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine};
+use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine, StepMode};
 use quape_isa::Program;
 use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_router::{Placement, RoutedResult, Router, RouterConfig};
@@ -33,6 +33,7 @@ fn solo(choice: u8, shots: u64, seed: u64) -> BatchAggregate {
     let job = CompiledJob::compile(c.clone(), program(choice)).unwrap();
     ShotEngine::new(job, coin(&c))
         .base_seed(seed)
+        .step_mode(StepMode::Cycle)
         .threads(1)
         .run(shots)
         .aggregate
@@ -260,7 +261,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random heterogeneous job sets over 1..=4 shards: every routed
-    /// job's aggregate is bit-identical to a solo `ShotEngine` run.
+    /// job's aggregate is bit-identical to a solo `ShotEngine` run of the
+    /// cycle-stepped reference oracle.
     #[test]
     fn router_matches_solo_engine_on_random_jobs(
         jobs in proptest::collection::vec((0u8..4, 1u64..24, 0u64..1000), 1..7),

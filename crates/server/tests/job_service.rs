@@ -80,26 +80,31 @@ fn per_job_aggregates_match_solo_engine_runs() {
     }
 }
 
-/// Both step modes flow through the service unchanged (the cycle oracle
-/// and the event-driven default agree on every job).
+/// The service runs the event-driven lowered core; its aggregate equals
+/// the solo cycle-stepped reference oracle's.
 #[test]
-fn step_modes_agree_through_the_server() {
+fn served_aggregate_matches_the_cycle_oracle() {
     let cfg = QuapeConfig::uniprocessor();
-    let run_mode = |mode: StepMode| {
-        let srv = server(2, 4);
-        let req = JobRequest::new(
-            "chain",
-            JobSource::Program(feedback_chain(0, 10).unwrap()),
-            cfg.clone(),
-            coin(&cfg),
-            24,
-        )
+    let program = feedback_chain(0, 10).unwrap();
+    let srv = server(2, 4);
+    let req = JobRequest::new(
+        "chain",
+        JobSource::Program(program.clone()),
+        cfg.clone(),
+        coin(&cfg),
+        24,
+    )
+    .base_seed(5);
+    let _ = srv.submit(req).unwrap();
+    let served = srv.run().remove(0).aggregate;
+    let job = CompiledJob::compile(cfg.clone(), program).unwrap();
+    let oracle = ShotEngine::new(job, coin(&cfg))
         .base_seed(5)
-        .step_mode(mode);
-        let _ = srv.submit(req).unwrap();
-        srv.run().remove(0).aggregate
-    };
-    assert_eq!(run_mode(StepMode::Cycle), run_mode(StepMode::EventDriven));
+        .step_mode(StepMode::Cycle)
+        .threads(1)
+        .run(24)
+        .aggregate;
+    assert_eq!(served, oracle);
 }
 
 /// Concurrent submissions of the same source text compile exactly once;

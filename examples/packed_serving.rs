@@ -15,8 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
 
     // A packer-enabled server: compatible queued jobs (same config,
-    // step mode, cycle budget, priority, and — under the default exact
-    // policy — shot count) merge into one packed entry when their
+    // cycle budget, priority, and — under the default exact policy —
+    // shot count) merge into one packed entry when their
     // relocated qubit regions fit side by side.
     let server = JobServer::new(ServerConfig {
         threads: 1,

@@ -1,9 +1,10 @@
 //! Differential suite for the execution core's two step modes.
 //!
-//! `StepMode::EventDriven` (the default) must produce **bit-identical**
-//! [`RunReport`]s to the cycle-stepped oracle — same cycle counts,
-//! measurements, issued operations, block events, wait/lateness
-//! statistics, everything `RunReport: PartialEq` compares — across every
+//! `StepMode::EventDriven` (the default, run on the lowered core) must
+//! produce **bit-identical** [`RunReport`]s to the cycle-stepped
+//! reference oracle — same cycle counts, measurements, issued
+//! operations, block events, wait/lateness statistics, everything
+//! `RunReport: PartialEq` compares — across every
 //! workload family the paper evaluates: feedback latency (Fig. 2),
 //! parallel RUS (Fig. 3), QEC rounds, and multiprogramming.
 
