@@ -13,12 +13,13 @@
 //! instead of the uniprocessor baseline: a `machines/*.json` path or a
 //! builtin name (`baseline`, `superscalar-8`, `multiprocessor-4`, ...).
 //!
-//! `--pack` switches to the §3.1.2 space-multiplexing comparison: one
-//! small-job-heavy stream served twice — time-interleaved only versus
-//! with the multiprogramming packer — with every packed aggregate
-//! asserted bit-identical to its interleaved oracle.
-//! `--min-pack-ratio` exits nonzero when packed jobs/sec fails to reach
-//! the given multiple of interleaved jobs/sec.
+//! `--pack` switches to the §3.1.2 multiprogramming comparison: one
+//! small-job-heavy stream served twice — one claim per job versus claim
+//! batching — with every packed aggregate asserted bit-identical to its
+//! interleaved oracle and both servers' compile-cache counters asserted
+//! equal. `--min-pack-ratio` exits nonzero when packed jobs/sec fails to
+//! reach the given multiple of interleaved jobs/sec. Its rows have their
+//! own baseline: `--json-out BENCH_pack.json`.
 //!
 //! `--check-schema <path>` verifies a committed baseline's JSON schema
 //! fingerprint against this binary's current row type and exits (0
@@ -281,16 +282,15 @@ fn run_packed(args: &Args, recorder: &Recorder) {
         println!("{}", to_json(&outcome.rows));
     } else {
         println!(
-            "Multiprogramming packing: {} small jobs, seed {} (packed aggregates verified \
+            "Claim batching: {} small jobs, seed {} (packed aggregates verified \
              bit-identical to interleaved):",
             args.requests, args.seed
         );
         println!("{}", render_rows(&outcome.rows));
         let p = &outcome.packer;
         println!(
-            "packs formed: {} ({} jobs, {} shots packed; {} combined-compile cache hits; \
-             {} declined)",
-            p.packs_formed, p.jobs_packed, p.packed_shots, p.combine_cache_hits, p.declined
+            "packs formed: {} ({} jobs, {} shots packed)",
+            p.packs_formed, p.jobs_packed, p.packed_shots
         );
     }
     eprintln!(

@@ -20,9 +20,7 @@
 use crate::support::{factory, percentile, priority_of};
 use quape_core::{CompiledJob, QuapeConfig, ShotEngine};
 use quape_obs::{ObsScope, Recorder};
-use quape_server::{
-    CacheStats, JobRequest, JobServer, JobSource, PackerConfig, PackerStats, ServerConfig,
-};
+use quape_server::{CacheStats, JobRequest, JobServer, JobSource, PackerStats, ServerConfig};
 use quape_workloads::traffic::{mixed_traffic, small_job_traffic, TrafficRequest};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -252,7 +250,7 @@ pub fn run_mixed_traffic_observed(
             shot_quantum: 8,
             cache_capacity: 16,
             machine: machine.cloned(),
-            packer: None,
+            packer: false,
             obs: scope,
         })
     };
@@ -314,32 +312,32 @@ pub fn warm_speedup(rows: &[ScenarioResult]) -> f64 {
 pub struct PackedOutcome {
     /// The `interleaved` and `packed` scenario rows.
     pub rows: Vec<ScenarioResult>,
-    /// The packed server's packer counters over all measured passes.
+    /// The packed server's claim-batching counters over all passes.
     pub packer: PackerStats,
     /// Packed jobs/sec over interleaved jobs/sec (the CI gate ratio).
     pub pack_ratio: f64,
 }
 
-/// The §3.1.2 space-multiplexing comparison: one small-job-heavy stream
+/// The §3.1.2 multiprogramming comparison: one small-job-heavy stream
 /// ([`small_job_traffic`] — uniform shots and priority, narrow
 /// programs) served twice by the same `JobServer` machinery, once
-/// interleaving jobs in time only and once with the multiprogramming
-/// packer merging compatible jobs into combined shot streams.
+/// claiming every job on its own and once with claim batching, where
+/// one claim carries a quantum for every member of a batch.
 ///
 /// Every request's aggregate is asserted **bit-identical** across the
 /// two passes — the interleaved pass is the packed pass's oracle, so
 /// the throughput ratio compares equal work. Each scenario keeps one
 /// server across `repeats` measured passes (after one unmeasured
-/// warm-up pass), so both run compile-cache-warm and the packed pass
-/// re-uses its combined compilations; the measured passes alternate
+/// warm-up pass), so both run compile-cache-warm; the measured passes alternate
 /// between the two servers (adjacent pairs see the same host-speed
 /// drift) and each side reports its fastest pass.
 ///
 /// # Panics
 ///
 /// Panics when any packed aggregate diverges from its interleaved
-/// oracle, or when the packed passes never form a pack (the comparison
-/// would be vacuous).
+/// oracle, when the packed passes never form a batch (the comparison
+/// would be vacuous), or when batching changes the compile-cache
+/// traffic (it must add no lookup and no compile).
 pub fn run_packed_traffic(
     seed: u64,
     requests: usize,
@@ -352,9 +350,9 @@ pub fn run_packed_traffic(
 /// [`run_packed_traffic`] with lifecycle tracing: the interleaved
 /// server records into scope 0 (`interleaved`) and the packed server
 /// into scope 1 (`packed`), so an exported trace shows the same stream
-/// served both ways side by side — packed quanta covering whole packs
+/// served both ways side by side — claims covering whole batches
 /// ([`Packed`](quape_obs::TraceKind::Packed) events tie members to
-/// their combined entry) against one-member-per-quantum interleaving.
+/// their batch) against one-member-per-claim interleaving.
 pub fn run_packed_traffic_observed(
     seed: u64,
     requests: usize,
@@ -366,12 +364,12 @@ pub fn run_packed_traffic_observed(
     let traffic = small_job_traffic(seed, requests);
     let cfg = QuapeConfig::uniprocessor().with_seed(seed);
     let base_seed = seed.wrapping_mul(1000);
-    let server_cfg = |packer: Option<PackerConfig>, obs: ObsScope| ServerConfig {
+    let server_cfg = |packer: bool, obs: ObsScope| ServerConfig {
         threads,
         // A fine preemption quantum — the latency-fairness setting a
-        // multi-tenant server actually runs — is where packing pays:
-        // every claimed quantum covers all co-resident members at once,
-        // so the packed side takes one scheduler round-trip where the
+        // multi-tenant server actually runs — is where batching pays:
+        // every claim covers all members of a batch at once, so the
+        // packed side takes one scheduler round-trip where the
         // interleaved side takes one *per member*.
         shot_quantum: 1,
         cache_capacity: 16,
@@ -380,19 +378,16 @@ pub fn run_packed_traffic_observed(
         obs,
     };
 
-    let warm = |packer: Option<PackerConfig>, obs: ObsScope| {
+    let warm = |packer: bool, obs: ObsScope| {
         let server = JobServer::new(server_cfg(packer, obs));
-        // Warm-up pass: populate the compile cache (including the
-        // packed pass's combined programs) so the measured passes
-        // compare steady-state serving, not first-contact compiles.
+        // Warm-up pass: populate the compile cache so the measured
+        // passes compare steady-state serving, not first-contact
+        // compiles.
         let _ = run_server_pass(&server, &cfg, &traffic, base_seed);
         server
     };
-    let interleaved = warm(None, recorder.labeled_scope(0, "interleaved"));
-    let packed = warm(
-        Some(PackerConfig::default()),
-        recorder.labeled_scope(1, "packed"),
-    );
+    let interleaved = warm(false, recorder.labeled_scope(0, "interleaved"));
+    let packed = warm(true, recorder.labeled_scope(1, "packed"));
 
     // The measured passes alternate between the two servers. Host
     // throughput drifts on timescales comparable to a scenario's whole
@@ -438,7 +433,12 @@ pub fn run_packed_traffic_observed(
     }
     assert!(
         packer.packs_formed > 0,
-        "the packed passes never formed a pack — the comparison is vacuous"
+        "the packed passes never formed a batch — the comparison is vacuous"
+    );
+    assert_eq!(
+        interleaved.cache_stats(),
+        packed.cache_stats(),
+        "claim batching changed the compile-cache traffic"
     );
 
     PackedOutcome {
@@ -496,7 +496,7 @@ pub fn run_obs_overhead(
             shot_quantum: 8,
             cache_capacity: 16,
             machine: None,
-            packer: None,
+            packer: false,
             obs,
         });
         // Warm-up pass: both sides measure steady-state cache-warm

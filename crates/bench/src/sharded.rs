@@ -185,7 +185,7 @@ fn run_scenario(
             cache_capacity: bench.cache_capacity,
             machine: bench.machine.clone(),
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         ..RouterConfig::default()
     });
@@ -327,7 +327,7 @@ pub fn run_kill_shard(bench: &ShardedTrafficConfig) -> FailoverScenarioResult {
         cache_capacity: bench.cache_capacity,
         machine: bench.machine.clone(),
         obs: Default::default(),
-        packer: None,
+        packer: false,
     };
     // Oracle: the same stream on a healthy fleet.
     let healthy = Router::new(RouterConfig {
@@ -454,7 +454,7 @@ pub fn run_hot_tenant(bench: &ShardedTrafficConfig) -> AdmissionScenarioResult {
                 cache_capacity: bench.cache_capacity,
                 machine: bench.machine.clone(),
                 obs: Default::default(),
-                packer: None,
+                packer: false,
             },
             ..RouterConfig::default()
         },
@@ -555,7 +555,7 @@ pub fn run_observed_fleet(bench: &ShardedTrafficConfig, kill: bool) -> ObservedF
                 shot_quantum: 8,
                 cache_capacity: bench.cache_capacity,
                 machine: bench.machine.clone(),
-                packer: None,
+                packer: false,
                 obs: Default::default(),
             },
             ..RouterConfig::default()

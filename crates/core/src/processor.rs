@@ -217,7 +217,7 @@ enum State {
     Switching { until: u64 },
     /// Executing the current block.
     Running,
-    /// Performing an MRCE context switch; the conditional op (if any)
+    /// In an MRCE context switch; the conditional op (if any)
     /// issues during cycle `fires_at`, and the processor returns to
     /// `Running` or `Idle` depending on where it was interrupted.
     ContextSwitch {

@@ -42,8 +42,8 @@ pub enum TraceKind {
     Compiled,
     /// A job hit the compile cache.
     CacheHit,
-    /// A job was merged into a multiprogramming pack (`a` = packed
-    /// entry id, `b` = member count).
+    /// A job was grouped into a claim batch (`a` = batch entry id,
+    /// `b` = member count).
     Packed,
     /// One executed shot quantum (`a`..`b` = shot range; `dur_us` set).
     Quantum,

@@ -129,7 +129,7 @@ impl InterleavedRbReport {
 /// qubit A: a reference RB decay, then a decay with `gate` inserted after
 /// every random Clifford. The ratio of the two decays isolates the
 /// interleaved gate's own fidelity — the standard follow-up to the §8
-/// experiment when one gate is suspected of underperforming.
+/// experiment when one gate is suspected of a low fidelity.
 ///
 /// # Errors
 ///

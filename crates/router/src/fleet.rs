@@ -334,12 +334,6 @@ impl Router {
                     .unwrap_or_default()
             });
             let mut shard_cfg = cfg.shard.clone();
-            // Packed-span feasibility: a shard's packer must never form
-            // a combined program wider than the shard's own fridge, so
-            // its cap is clipped to the profile's packable span.
-            if let Some(packer) = shard_cfg.packer.as_mut() {
-                packer.max_pack_qubits = packer.max_pack_qubits.min(profile.pack_span_limit());
-            }
             // Every shard records into its own scope of the shared
             // recorder (off scopes when observability is off).
             shard_cfg.obs = cfg.obs.scope(i as u32);

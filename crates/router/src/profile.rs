@@ -96,32 +96,6 @@ impl ShardProfile {
             (None, Some(have)) => req.qubits <= have,
         }
     }
-
-    /// Packed-span feasibility: true when this shard can execute a
-    /// *combined* multiprogrammed job whose members' relocated regions
-    /// sum to `packed_span` qubits. The machine sees one program
-    /// spanning the whole packed region — so the member's requirements
-    /// are widened to that footprint before the ordinary
-    /// [`can_run`](ShardProfile::can_run) filter applies. A span that
-    /// fits each member solo can still fail here; that is the point.
-    pub fn can_pack(&self, packed_span: u16, member: &JobRequirements) -> bool {
-        self.can_run(&JobRequirements {
-            qubits: packed_span,
-            ..*member
-        })
-    }
-
-    /// The largest packed qubit span this shard can host — what a
-    /// router wires into each shard's
-    /// [`PackerConfig::max_pack_qubits`](quape_server::PackerConfig::max_pack_qubits)
-    /// so a shard never forms a pack its own fridge cannot load.
-    pub fn pack_span_limit(&self) -> u16 {
-        match self.readout_lines {
-            // Dedicated-line members: every packed qubit needs a line.
-            Some(lines) => self.max_qubits.min(lines),
-            None => self.max_qubits,
-        }
-    }
 }
 
 impl Default for ShardProfile {
@@ -215,39 +189,6 @@ mod tests {
         // Dedicated-line job: every qubit needs a line.
         assert!(shared4.can_run(&req(4)));
         assert!(!shared4.can_run(&req(5)));
-    }
-
-    #[test]
-    fn packed_span_widens_the_feasibility_check() {
-        let p = ShardProfile {
-            max_qubits: 10,
-            ..ShardProfile::unconstrained()
-        };
-        let member = req(4);
-        // Each member fits solo, and so does a 2-pack…
-        assert!(p.can_run(&member));
-        assert!(p.can_pack(8, &member));
-        // …but a 3-pack's combined span does not.
-        assert!(!p.can_pack(12, &member));
-    }
-
-    #[test]
-    fn pack_span_limit_respects_readout_lines() {
-        let p = ShardProfile {
-            max_qubits: 32,
-            readout_lines: Some(6),
-            ..ShardProfile::unconstrained()
-        };
-        // Dedicated-line members need a line per packed qubit.
-        assert_eq!(p.pack_span_limit(), 6);
-        assert_eq!(
-            ShardProfile {
-                max_qubits: 32,
-                ..ShardProfile::unconstrained()
-            }
-            .pack_span_limit(),
-            32
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct ShardSnapshot {
     pub pending_jobs: u64,
     /// Compile-cache hit/miss/eviction counters.
     pub cache: CacheStats,
-    /// Multiprogramming packer counters.
+    /// Claim-batching counters.
     pub packer: PackerStats,
     /// The shard scope's metric instruments (empty when observability
     /// is off).

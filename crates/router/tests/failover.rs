@@ -59,7 +59,7 @@ fn fleet(shards: usize, placement: Placement) -> RouterConfig {
             cache_capacity: 4,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         ..RouterConfig::default()
     }
@@ -502,7 +502,7 @@ fn heterogeneous_fleet_from_machine_descriptions() {
             cache_capacity: 4,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         ..RouterConfig::heterogeneous(vec![small, big])
     });
@@ -538,7 +538,7 @@ fn heterogeneous_fleet_from_machine_descriptions() {
             cache_capacity: 4,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         placement: Placement::RoundRobin,
         ..RouterConfig::heterogeneous(vec![small2])

@@ -49,7 +49,7 @@ fn router(shards: usize, placement: Placement, threads: usize) -> Router {
             cache_capacity: 4,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         ..RouterConfig::default()
     })
@@ -202,7 +202,7 @@ fn sticky_routing_compiles_each_program_once_fleet_wide() {
                 cache_capacity: 16,
                 machine: None,
                 obs: Default::default(),
-                packer: None,
+                packer: false,
             },
             ..RouterConfig::default()
         })
@@ -288,58 +288,11 @@ proptest! {
     }
 }
 
-/// A capability-aware fleet clips each shard's packer cap to its
-/// profile before the shard starts: the packer must never form a
-/// combined program wider than the shard's own fridge (or, with
-/// dedicated-line readout, than its readout lines).
-#[test]
-fn packer_cap_is_clipped_to_the_shard_profile() {
-    use quape_router::ShardProfile;
-    use quape_server::PackerConfig;
-    let r = Router::new(RouterConfig {
-        shards: 2,
-        placement: Placement::RoundRobin,
-        shard: ServerConfig {
-            threads: 1,
-            shot_quantum: 3,
-            cache_capacity: 4,
-            machine: None,
-            obs: Default::default(),
-            packer: Some(PackerConfig::default()),
-        },
-        profiles: vec![
-            ShardProfile {
-                max_qubits: 5,
-                ..ShardProfile::unconstrained()
-            },
-            ShardProfile {
-                max_qubits: 32,
-                readout_lines: Some(6),
-                ..ShardProfile::unconstrained()
-            },
-        ],
-        ..RouterConfig::default()
-    });
-    let cap = |i: usize| {
-        r.shard(i)
-            .config()
-            .packer
-            .as_ref()
-            .expect("packer configured")
-            .max_pack_qubits
-    };
-    assert_eq!(cap(0), 5);
-    // Dedicated-line members need a readout line per packed qubit.
-    assert_eq!(cap(1), 6);
-    r.drain().unwrap();
-}
-
-/// With the packer live on every shard, routed aggregates stay
+/// With claim batching live on every shard, routed aggregates stay
 /// bit-identical to solo engine runs — whether or not any given pair
-/// actually packed (the de-multiplexer is exact by construction).
+/// actually batched (each member runs its own engine).
 #[test]
 fn packer_enabled_fleet_matches_solo_engine() {
-    use quape_server::PackerConfig;
     let r = Router::new(RouterConfig {
         shards: 2,
         placement: Placement::StickyByDigest,
@@ -349,7 +302,7 @@ fn packer_enabled_fleet_matches_solo_engine() {
             cache_capacity: 8,
             machine: None,
             obs: Default::default(),
-            packer: Some(PackerConfig::default()),
+            packer: true,
         },
         ..RouterConfig::default()
     });

@@ -58,7 +58,7 @@ fn fleet(shards: usize, placement: Placement, recorder: Recorder) -> RouterConfi
             cache_capacity: 4,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         ..RouterConfig::default()
     }
@@ -73,7 +73,7 @@ fn traced_batch_run(seed_base: u64) -> Vec<String> {
         shot_quantum: 4,
         cache_capacity: 4,
         machine: None,
-        packer: None,
+        packer: false,
         obs: recorder.scope(0),
     });
     for i in 0..6u64 {

@@ -42,39 +42,28 @@
 //! **prefix-consistent**: bit-identical to a solo run of its first `n`
 //! shots.
 //!
-//! ## Multiprogramming packing (§3.1.2 space multiplexing)
+//! ## Claim batching (§3.1.2 multiprogramming)
 //!
-//! With a [`PackerConfig`] installed, a queue-scan stage between
-//! admission and the worker pool merges **compatible queued small
-//! jobs** into one packed scheduling unit: the members' programs are
-//! relocated into disjoint qubit regions and combined via
-//! [`quape_workloads::multiprogramming::pack`], the combined program is
-//! compiled through the compile cache (so a recurring pack shape
-//! compiles once), and its packed qubit span is checked against the
-//! machine's capacity — the combined [`CompiledJob`] is exactly what a
-//! real fleet would load onto the shared control stack. The pack then
-//! runs as **one** scheduler entity: a single claim takes the next shot
-//! quantum *for every member at once*, amortizing the per-job
-//! claim/complete/notify round-trips the interleaved path pays per job.
+//! With [`ServerConfig::packer`] on, a scheduler turn first groups
+//! **unstarted solo jobs of equal priority and shot count** (up to
+//! eight, in queue order) into one scheduling unit, under the server
+//! lock. One claim then carries a shot quantum for every member at once,
+//! amortizing the per-job claim/complete/notify round-trips the
+//! interleaved path pays per job.
 //!
-//! Because `pack` guarantees zero cross-member dependencies (disjoint
-//! qubit regions, unconstrained blocks), the members' shot streams are
-//! independent by construction — pre-determined allocation, in the
-//! paper's terms. The packed executor exploits exactly that: packed
-//! shot index `s` runs each member's shot `s` through the member's own
-//! engine and seed stream, so de-multiplexing is **exact**: every
-//! member's [`JobResult`] aggregate is bit-identical to its solo run,
-//! including mid-flight partials, and cancelling one member never
-//! perturbs the others (differential-tested).
+//! Batching changes only *who claims together*: packed shot index `s`
+//! runs each member's shot `s` through the member's own engine and seed
+//! stream, so every member's [`JobResult`] aggregate is bit-identical to
+//! its solo run, including mid-flight partials, and cancelling one
+//! member never perturbs the others (differential-tested).
 
 use crate::cache::{CacheStats, CompileCache};
 use quape_core::{
     BatchAggregate, CompiledJob, DescriptionError, EngineObs, MachineDescription, MachineError,
     QpuFactory, QuapeConfig, ShotEngine, ShotSummary, WorkerScratch,
 };
-use quape_isa::{AsmError, Dependency, Fnv64, Program};
+use quape_isa::{AsmError, Fnv64, Program};
 use quape_obs::{ObsScope, TraceKind};
-use quape_workloads::multiprogramming::{self, MemberSlice};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -403,68 +392,18 @@ impl JobRequest {
     }
 }
 
-/// How the packer decides that member shot counts are compatible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShotPolicy {
-    /// Only jobs with **identical** shot counts pack together: every
-    /// member finishes on the same packed shot index.
-    #[default]
-    Exact,
-    /// Jobs whose shot counts round up to the same number of
-    /// priority-weighted shot quanta pack together — the ragged tails
-    /// run inside the pack's final quantum. Looser than [`Exact`]
-    /// (more packs form) at the cost of a partially-idle last quantum.
-    ///
-    /// [`Exact`]: ShotPolicy::Exact
-    QuantumAligned,
-}
+/// Most jobs one claim batch holds.
+const MAX_BATCH_MEMBERS: usize = 8;
 
-/// The packer stage's knobs (see the crate docs — packing is off
-/// unless [`ServerConfig::packer`] is set).
-#[derive(Debug, Clone)]
-pub struct PackerConfig {
-    /// Most member jobs per pack.
-    pub max_members: usize,
-    /// Hard cap on the packed qubit span. The effective cap is the
-    /// minimum of this, the ISA's qubit space, and the config's
-    /// `num_qubits` — a capability-aware router lowers it further to
-    /// the shard profile's span so a pack never exceeds what the
-    /// shard's machine can load.
-    pub max_pack_qubits: u16,
-    /// Only jobs at or below this shot count are packing candidates —
-    /// packing exists to amortize per-job scheduling overhead across
-    /// *small* jobs; big jobs amortize it themselves.
-    pub max_member_shots: u64,
-    /// The shot-count compatibility rule.
-    pub shot_policy: ShotPolicy,
-}
-
-impl Default for PackerConfig {
-    fn default() -> Self {
-        PackerConfig {
-            max_members: 8,
-            max_pack_qubits: quape_isa::MAX_QUBITS as u16,
-            max_member_shots: 256,
-            shot_policy: ShotPolicy::default(),
-        }
-    }
-}
-
-/// Counters of the packer stage, read via [`JobServer::packer_stats`].
+/// Counters of claim batching, read via [`JobServer::packer_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct PackerStats {
-    /// Packs formed (each replaced ≥ 2 queued jobs with one entry).
+    /// Batches formed (each replaced ≥ 2 queued jobs with one entry).
     pub packs_formed: u64,
-    /// Member jobs that went through a pack.
+    /// Member jobs that went through a batch.
     pub jobs_packed: u64,
-    /// Total member shots covered by formed packs.
+    /// Total member shots covered by formed batches.
     pub packed_shots: u64,
-    /// Combined programs resolved from the compile cache (a recurring
-    /// pack shape compiles its combined program once).
-    pub combine_cache_hits: u64,
-    /// Pack formations that failed (combine or combined compile) and
-    /// fell back to solo execution of the members.
-    pub declined: u64,
 }
 
 /// Worker-pool and cache sizing of a [`JobServer`], plus the declared
@@ -483,10 +422,11 @@ pub struct ServerConfig {
     /// router derives the shard's profile from it when set (explicit
     /// router profiles still win).
     pub machine: Option<MachineDescription>,
-    /// When set, the packer stage merges compatible queued small jobs
-    /// into packed scheduling units (see the crate docs). `None` (the
-    /// default) serves every job solo.
-    pub packer: Option<PackerConfig>,
+    /// When true, a scheduler turn batches queued jobs of equal
+    /// priority and shot count so one claim carries a quantum for each
+    /// (see the crate docs). `false` (the default) claims every job on
+    /// its own.
+    pub packer: bool,
     /// Telemetry scope this server records into. The default
     /// ([`ObsScope::off`]) is compile-time inert — every recording call
     /// is an inlined no-op — and an enabled scope is observation-only:
@@ -502,12 +442,6 @@ impl ServerConfig {
             ..ServerConfig::default()
         }
     }
-
-    /// Enables the packer stage with the given knobs.
-    pub fn packer(mut self, packer: PackerConfig) -> Self {
-        self.packer = Some(packer);
-        self
-    }
 }
 
 impl Default for ServerConfig {
@@ -517,7 +451,7 @@ impl Default for ServerConfig {
             shot_quantum: 16,
             cache_capacity: 64,
             machine: None,
-            packer: None,
+            packer: false,
             obs: ObsScope::off(),
         }
     }
@@ -731,7 +665,7 @@ impl JobHandle {
 }
 
 /// One submitted job inside a scheduler entry. A solo entry holds one
-/// member; a packed entry holds every member of the pack. Each member
+/// member; a batched entry holds every member of the batch. Each member
 /// keeps its own engine (its own factory and base seed), so
 /// its summaries — and therefore its aggregate — are independent of how
 /// the scheduler grouped it.
@@ -769,52 +703,29 @@ impl MemberJob {
     }
 }
 
-/// The packing-compatibility class of a queued solo entry, computed at
-/// submit. Two entries may pack together only when their classes agree:
-/// the `key` hashes the config's content digest, cycle limit,
-/// priority, and the shot-policy bucket; `cfg_digest` is
-/// compared outright so a key collision cannot merge incompatible
-/// configs; `span` is the member program's qubit width — the region it
-/// will occupy after relocation.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct PackClass {
-    key: u64,
-    cfg_digest: u64,
-    span: u16,
-}
-
-/// A formed pack's machine-visible footprint: the combined program of
-/// every member, relocated into disjoint qubit regions and compiled
-/// through the compile cache — what a real fleet would load onto the
-/// shared control stack — plus the per-member slice metadata that maps
-/// each member onto its region of the combined run.
-struct PackInfo {
-    job: Arc<CompiledJob>,
-    slices: Vec<MemberSlice>,
-}
-
-/// One scheduler queue entry: a solo job, or a pack of members sharing
-/// a single claim stream. The entry claims a monotone prefix of packed
-/// shot indices; packed index `s` stands for shot `s` of every live
-/// member, so one claim advances all of them at once.
+/// One scheduler queue entry: a solo job, or a batch of members
+/// sharing a single claim stream. The entry claims a monotone prefix of
+/// packed shot indices; packed index `s` stands for shot `s` of every
+/// live member, so one claim advances all of them at once. A solo entry
+/// carries its job's id; a batch gets a fresh id of its own.
 struct ActiveEntry {
     id: u64,
     priority: Priority,
     next_shot: u64,
-    /// Compile-cache key of this entry's artifact: the member's own
-    /// source key for a solo entry, the pack key (hash of the member
-    /// keys in claim order) for a packed one. Lets the packer derive a
-    /// repeated group's cache key without rebuilding the combined
-    /// program.
-    source_key: u128,
-    /// `Some` while the entry is an unstarted solo packing candidate.
-    pack: Option<PackClass>,
-    /// `Some` for packed entries.
-    packed: Option<PackInfo>,
     members: Vec<MemberJob>,
 }
 
 impl ActiveEntry {
+    /// True for a solo job no worker has claimed shots of and nobody
+    /// cancelled — what [`JobServer::unstarted_jobs`] lists, a revoke
+    /// may take back, and the batcher may group.
+    fn unstarted_solo(&self) -> bool {
+        self.next_shot == 0
+            && self.members.len() == 1
+            && self.members[0].id == self.id
+            && !self.members[0].cancelled()
+    }
+
     /// One past the last packed shot index any live member still wants —
     /// the entry's claim stream shortens when its longest member is
     /// cancelled. `None` when no member can make progress.
@@ -870,10 +781,8 @@ struct SchedState {
     /// outside the lock ([`JobServer::finalize_members_detached`]);
     /// drains wait for this to reach zero before taking `finished`.
     finalizing: usize,
-    /// Pack formations in flight: their entries are out of `jobs` while
-    /// a worker combines and compiles off-lock; drains wait for this to
-    /// reach zero so the members are not missed.
-    forming: usize,
+    /// Claim-batching counters ([`JobServer::packer_stats`]).
+    packer: PackerStats,
     /// Finished results whose finish-hook callback has not fired yet.
     /// Hooks are only ever invoked with the server lock released
     /// ([`JobServer::flush_finish_hooks`]), so finalize paths that run
@@ -929,7 +838,6 @@ struct ServerInner {
     state: Mutex<SchedState>,
     work: Condvar,
     finish_hook: Mutex<Option<FinishHook>>,
-    packer_stats: Mutex<PackerStats>,
     obs: ServerObs,
 }
 
@@ -956,7 +864,6 @@ impl JobServer {
                 state: Mutex::new(SchedState::default()),
                 work: Condvar::new(),
                 finish_hook: Mutex::new(None),
-                packer_stats: Mutex::new(PackerStats::default()),
                 obs,
             }),
         }
@@ -1010,7 +917,7 @@ impl JobServer {
     }
 
     /// Jobs queued or running, not yet finished (every member of a
-    /// packed entry counts).
+    /// batch counts).
     pub fn pending_jobs(&self) -> usize {
         self.lock_state().jobs.iter().map(|e| e.members.len()).sum()
     }
@@ -1026,43 +933,15 @@ impl JobServer {
             .sum()
     }
 
-    /// The configuration this server was built with — after any
-    /// deployment-side adjustments (a capability-aware router clips
-    /// [`PackerConfig::max_pack_qubits`] to each shard's profile before
-    /// starting it).
+    /// The configuration this server was built with.
     pub fn config(&self) -> &ServerConfig {
         &self.inner.cfg
     }
 
-    /// The packer stage's counters (all zero when no [`PackerConfig`]
-    /// is installed).
+    /// The claim-batching counters (all zero while
+    /// [`ServerConfig::packer`] is off).
     pub fn packer_stats(&self) -> PackerStats {
-        *self
-            .inner
-            .packer_stats
-            .lock()
-            .expect("packer stats lock poisoned")
-    }
-
-    /// Live packed entries, each as `(combined compiled span, member
-    /// qubit offsets)`. The span is the *machine-visible footprint* of
-    /// the pack — the qubit count of the combined [`CompiledJob`] a
-    /// capability-aware router admits against — and the offsets are the
-    /// relocation bases the de-multiplexer slices by. Advisory: packs
-    /// retire as their members finish.
-    pub fn packed_live(&self) -> Vec<(u16, Vec<u16>)> {
-        self.lock_state()
-            .jobs
-            .iter()
-            .filter_map(|e| {
-                e.packed.as_ref().map(|p| {
-                    (
-                        p.job.num_qubits(),
-                        p.slices.iter().map(|s| s.qubit_offset).collect(),
-                    )
-                })
-            })
-            .collect()
+        self.lock_state().packer
     }
 
     /// Installs (or replaces) the job-completion callback: it fires once
@@ -1087,15 +966,9 @@ impl JobServer {
         self.lock_state()
             .jobs
             .iter()
-            // Packed entries are not stealable as wholes (their members
-            // belong to different submissions); packing-aware stealing
-            // is a follow-on.
-            .filter(|e| {
-                e.next_shot == 0
-                    && e.packed.is_none()
-                    && e.members.len() == 1
-                    && !e.members[0].cancelled()
-            })
+            // Batches are not stealable as wholes (their members belong
+            // to different submissions).
+            .filter(|e| e.unstarted_solo())
             .map(|e| (e.id, e.members[0].shots))
             .collect()
     }
@@ -1115,11 +988,7 @@ impl JobServer {
             return false;
         };
         let entry = &st.jobs[index];
-        if entry.next_shot != 0
-            || entry.packed.is_some()
-            || entry.members.len() != 1
-            || entry.members[0].cancelled()
-        {
+        if !entry.unstarted_solo() {
             return false;
         }
         let shots = entry.members[0].shots;
@@ -1219,7 +1088,6 @@ impl JobServer {
             cond: Condvar::new(),
         });
         let engine = Arc::new(engine);
-        let pack = self.pack_class(&engine, req.shots, req.priority, req.cycle_limit);
         let mut st = self.lock_state();
         if matches!(st.phase, ServePhase::Draining | ServePhase::Shutdown) {
             return Err(JobError::NotAccepting);
@@ -1230,9 +1098,6 @@ impl JobServer {
             id,
             priority: req.priority,
             next_shot: 0,
-            source_key: key,
-            pack,
-            packed: None,
             members: vec![MemberJob {
                 id,
                 shots: req.shots,
@@ -1271,73 +1136,6 @@ impl JobServer {
             cell,
             id,
         })
-    }
-
-    /// Classifies a submission for the packer: `None` when packing is
-    /// off or the job is not a candidate (too many shots, a span beyond
-    /// the pack cap, or priority-dependent blocks — which
-    /// [`multiprogramming::pack`] would flatten). The class key hashes
-    /// everything the compatibility predicate requires: digest-equal
-    /// configs, equal cycle limits and priorities, and the
-    /// [`ShotPolicy`] shot bucket. Base seeds and factories may differ
-    /// freely — each member runs through its own engine.
-    fn pack_class(
-        &self,
-        engine: &ShotEngine,
-        shots: u64,
-        priority: Priority,
-        cycle_limit: u64,
-    ) -> Option<PackClass> {
-        let pc = self.inner.cfg.packer.as_ref()?;
-        if shots > pc.max_member_shots {
-            return None;
-        }
-        let job = engine.job();
-        let program = job.program();
-        if program
-            .blocks()
-            .iter()
-            .any(|(_, info)| matches!(info.dependency, Dependency::Priority(_)))
-        {
-            return None;
-        }
-        let span = program.num_qubits();
-        if span > Self::pack_span_cap(pc, job.cfg()) {
-            return None;
-        }
-        let cfg_digest = job.cfg().content_digest();
-        let priority_code: u32 = match priority {
-            Priority::Low => 0,
-            Priority::Normal => 1,
-            Priority::High => 2,
-        };
-        let bucket = match pc.shot_policy {
-            ShotPolicy::Exact => shots,
-            ShotPolicy::QuantumAligned => {
-                let quantum = self.inner.cfg.shot_quantum.max(1) * priority.weight();
-                shots.div_ceil(quantum)
-            }
-        };
-        let mut h = Fnv64::new();
-        h.write_u64(cfg_digest)
-            .write_u64(cycle_limit)
-            .write_u32(priority_code)
-            .write_u64(bucket);
-        Some(PackClass {
-            key: h.finish(),
-            cfg_digest,
-            span,
-        })
-    }
-
-    /// The effective packed-span cap: the configured cap, clipped to
-    /// the ISA qubit space and to the config's allocated qubit count
-    /// (the combined program must still compile against the members'
-    /// shared config).
-    fn pack_span_cap(pc: &PackerConfig, cfg: &QuapeConfig) -> u16 {
-        pc.max_pack_qubits
-            .min(quape_isa::MAX_QUBITS as u16)
-            .min(cfg.num_qubits.unwrap_or(quape_isa::MAX_QUBITS as u16))
     }
 
     /// Finalizes one member (no claimed quantum of its still executing):
@@ -1627,7 +1425,7 @@ impl JobServer {
     /// Runs one claimed quantum — every member's shot range — isolating
     /// panics from user-supplied factories/backends per member: a
     /// panicking range fails its member (cancelled, prefix-consistent
-    /// partial) without touching the other members of the pack or
+    /// partial) without touching the other members of the batch or
     /// hanging the drain. One [`WorkerScratch`] spans the whole claim,
     /// so members compiled from the same program share a prepared
     /// lowered runner.
@@ -1680,24 +1478,9 @@ impl JobServer {
             .enumerate()
             .find_map(|(ei, e)| e.members.iter().position(|m| m.id == id).map(|mi| (ei, mi)))
         else {
-            // Not queued: either already finished (cancelling is a
-            // no-op — the flag stays clear so progress() keeps agreeing
-            // with the result) or inside a pack formation / detached
-            // fold. The cell knows which: no published result means the
-            // job is still live somewhere, so the flag must stick — the
-            // packer re-inserts the member with the flag already set
-            // and the claim path skips it.
-            let unfinished = cell
-                .inner
-                .lock()
-                .expect("job cell lock poisoned")
-                .result
-                .is_none();
-            if unfinished {
-                cell.cancelled.store(true, Ordering::Relaxed);
-            }
-            drop(st);
-            self.inner.work.notify_all();
+            // Not queued: finished, or its final fold is running. Either
+            // way cancelling is a no-op — the flag stays clear so
+            // progress() keeps agreeing with the result.
             return;
         };
         // Set the flag under the server lock so no claim can start a new
@@ -1712,203 +1495,72 @@ impl JobServer {
         self.inner.work.notify_all();
     }
 
-    /// Scans the queue for a group of ≥ 2 packable entries (same
-    /// [`PackClass`], nobody started, nobody cancelled, combined span
-    /// within the cap) in queue order. On a hit the group's entries are
-    /// *removed* from the queue and the `forming` counter is bumped —
-    /// the caller owns them and **must** call
-    /// [`form_pack`](JobServer::form_pack), which either re-inserts a
-    /// packed entry or puts the solos back.
-    fn scan_pack_group(&self, st: &mut SchedState) -> Option<Vec<ActiveEntry>> {
-        let pc = self.inner.cfg.packer.as_ref()?;
-        if pc.max_members < 2 || st.phase == ServePhase::Shutdown {
-            return None;
+    /// Claim batching: groups the first ≥ 2 unstarted solo entries of
+    /// one class — equal priority and equal shot count — in queue order
+    /// (at most [`MAX_BATCH_MEMBERS`]) and replaces them with one
+    /// batched entry at the back of the queue. Runs under the server
+    /// lock; a no-op while [`ServerConfig::packer`] is off.
+    fn form_batch(&self, worker: u32, st: &mut SchedState) {
+        if !self.inner.cfg.packer || st.phase == ServePhase::Shutdown {
+            return;
         }
-        struct Group {
-            class: PackClass,
-            indices: Vec<usize>,
-            span: u16,
-            cap: u16,
-        }
-        let mut groups: Vec<Group> = Vec::new();
+        let mut groups: Vec<((Priority, u64), Vec<usize>)> = Vec::new();
         for (i, e) in st.jobs.iter().enumerate() {
-            let Some(class) = e.pack else { continue };
-            if e.next_shot != 0
-                || e.packed.is_some()
-                || e.members.len() != 1
-                || e.members[0].cancelled()
-            {
+            if !e.unstarted_solo() {
                 continue;
             }
-            // Compare the config digest outright, not just the hashed
-            // class key: a key collision must never merge jobs with
-            // different machine configs.
-            let slot = groups
-                .iter_mut()
-                .find(|g| g.class.key == class.key && g.class.cfg_digest == class.cfg_digest);
-            match slot {
-                Some(g) => {
-                    if g.indices.len() < pc.max_members && g.span + class.span <= g.cap {
-                        g.indices.push(i);
-                        g.span += class.span;
-                    }
-                }
-                None => groups.push(Group {
-                    class,
-                    indices: vec![i],
-                    span: class.span,
-                    // Every group member shares the config (digest
-                    // checked above), so the cap is fixed at creation.
-                    cap: Self::pack_span_cap(pc, e.members[0].engine.job().cfg()),
-                }),
+            let class = (e.priority, e.members[0].shots);
+            match groups.iter_mut().find(|(c, _)| *c == class) {
+                Some((_, g)) if g.len() < MAX_BATCH_MEMBERS => g.push(i),
+                Some(_) => {}
+                None => groups.push((class, vec![i])),
             }
         }
-        let indices = groups.into_iter().find(|g| g.indices.len() >= 2)?.indices;
-        let mut entries = Vec::with_capacity(indices.len());
-        for &i in indices.iter().rev() {
-            entries.push(Self::remove_entry(st, i));
-        }
-        entries.reverse();
-        st.forming += 1;
-        Some(entries)
-    }
-
-    /// The de-multiplexer layout of a scanned group, computed without
-    /// building the combined program ([`multiprogramming::layout`]):
-    /// keeps cache-warm pack formation free of the O(combined program)
-    /// relocation pass.
-    fn member_slices(entries: &[ActiveEntry]) -> Vec<MemberSlice> {
-        multiprogramming::layout(entries.iter().map(|e| e.members[0].engine.job().program()))
-    }
-
-    /// Combines a scanned group into one packed entry: relocates the
-    /// member programs into disjoint qubit regions
-    /// ([`multiprogramming::pack`]), compiles the combined program
-    /// through the compile cache (recurring pack shapes are cache-warm —
-    /// keyed by the member compile keys, so a warm formation skips the
-    /// combine entirely), and re-queues a single [`ActiveEntry`] whose
-    /// members share the claim stream. On any failure the solo entries
-    /// go back verbatim — with their pack class cleared so the same
-    /// doomed group is never scanned again.
-    ///
-    /// Runs with the server lock **released** (combining + compiling is
-    /// the expensive part); the `forming` counter taken by the scan
-    /// keeps drains honest while the entries are off the queue.
-    fn form_pack(&self, worker: u32, entries: Vec<ActiveEntry>) {
-        debug_assert!(entries.len() >= 2);
-        // Pack cache key: hash of the member compile keys in claim
-        // order. Each member key already pins (source, config) — and the
-        // combined program is a pure function of the member programs in
-        // order — so a repeated group shape resolves to a warm cache
-        // slot *without* re-running the relocation or digesting the
-        // combined program. Tag 3 keeps pack keys disjoint from the
-        // text(1)/program(2) key spaces of `JobSource::cache_key`.
-        let mut hi = Fnv64::new();
-        let mut lo = Fnv64::new();
-        hi.write_u32(3);
-        lo.write_u32(!3u32);
-        for e in &entries {
-            hi.write_u64((e.source_key >> 64) as u64);
-            lo.write_u64(e.source_key as u64);
-        }
-        let key = (u128::from(hi.finish()) << 64) | u128::from(lo.finish());
-        let cfg = entries[0].members[0].engine.job().cfg().clone();
-        let outcome = self
-            .inner
-            .cache
-            .get_or_compile(key, None, || {
-                let programs: Vec<_> = entries
-                    .iter()
-                    .map(|e| e.members[0].engine.job().program().clone())
-                    .collect();
-                let combined = multiprogramming::combine(&programs)
-                    .map_err(|e| JobError::Compile(MachineError::Config(e.to_string())))?;
-                JobSource::Program(combined).compile(cfg)
+        let Some(((priority, _), indices)) = groups.into_iter().find(|(_, g)| g.len() >= 2) else {
+            return;
+        };
+        let mut members: Vec<MemberJob> = indices
+            .iter()
+            .rev()
+            .map(|&i| {
+                let mut entry = Self::remove_entry(st, i);
+                entry.members.pop().expect("a solo entry has one member")
             })
-            .map(|outcome| (outcome, Self::member_slices(&entries)))
-            .map_err(|_| ());
-        let mut st = self.lock_state();
-        st.forming -= 1;
-        match outcome {
-            Ok((outcome, slices)) => {
-                debug_assert_eq!(slices.len(), entries.len());
-                let id = st.next_id;
-                st.next_id += 1;
-                let shots = entries.iter().map(|e| e.members[0].shots).sum::<u64>();
-                let mut stats = self
-                    .inner
-                    .packer_stats
-                    .lock()
-                    .expect("packer stats lock poisoned");
-                stats.packs_formed += 1;
-                stats.jobs_packed += entries.len() as u64;
-                stats.packed_shots += shots;
-                if outcome.hit {
-                    stats.combine_cache_hits += 1;
-                }
-                drop(stats);
-                // All members share one pack class, hence one priority.
-                let priority = entries[0].priority;
-                let members: Vec<MemberJob> = entries
-                    .into_iter()
-                    .map(|mut e| e.members.pop().expect("scanned entries are solos"))
-                    .collect();
-                // Emit under the re-insert lock so every member's packed
-                // event precedes any quantum claimed from the new entry.
-                let obs = &self.inner.obs;
-                obs.packs.inc();
-                for m in &members {
-                    obs.scope
-                        .event(TraceKind::Packed, worker, m.id, id, members.len() as u64);
-                }
-                st.jobs.push(ActiveEntry {
-                    id,
-                    priority,
-                    next_shot: 0,
-                    source_key: key,
-                    pack: None,
-                    packed: Some(PackInfo {
-                        job: outcome.job,
-                        slices,
-                    }),
-                    members,
-                });
-            }
-            Err(_) => {
-                let mut stats = self
-                    .inner
-                    .packer_stats
-                    .lock()
-                    .expect("packer stats lock poisoned");
-                stats.declined += 1;
-                drop(stats);
-                for mut e in entries {
-                    e.pack = None;
-                    st.jobs.push(e);
-                }
-            }
+            .collect();
+        members.reverse();
+        let id = st.next_id;
+        st.next_id += 1;
+        st.packer.packs_formed += 1;
+        st.packer.jobs_packed += members.len() as u64;
+        st.packer.packed_shots += members.iter().map(|m| m.shots).sum::<u64>();
+        // Emitted under the lock, so every member's packed event
+        // precedes any quantum claimed from the batch.
+        let obs = &self.inner.obs;
+        obs.packs.inc();
+        for m in &members {
+            obs.scope
+                .event(TraceKind::Packed, worker, m.id, id, members.len() as u64);
         }
-        drop(st);
-        self.inner.work.notify_all();
+        st.jobs.push(ActiveEntry {
+            id,
+            priority,
+            next_shot: 0,
+            members,
+        });
     }
 
-    /// One scheduler turn: try to form a pack (packer enabled), else
-    /// claim a quantum. Consumes the guard and does the work off-lock
-    /// on success; hands the guard back untouched when nothing was
-    /// claimable, so the caller can park on the condvar *atomically*
-    /// with the failed check (no lost wakeups).
+    /// One scheduler turn: batch compatible queued jobs (claim
+    /// batching on), then claim a quantum. Consumes the guard and runs
+    /// the quantum off-lock on success; hands the guard back untouched
+    /// when nothing was claimable, so the caller can park on the
+    /// condvar *atomically* with the failed check (no lost wakeups).
     #[allow(clippy::result_large_err)]
-    fn try_pack_then_claim<'a>(
+    fn try_batch_then_claim<'a>(
         &self,
         worker: u32,
         mut guard: MutexGuard<'a, SchedState>,
     ) -> Result<(), MutexGuard<'a, SchedState>> {
-        if let Some(group) = self.scan_pack_group(&mut guard) {
-            drop(guard);
-            self.flush_finish_hooks();
-            self.form_pack(worker, group);
-            return Ok(());
-        }
+        self.form_batch(worker, &mut guard);
         let Some(claim) = Self::reap_and_claim(&self.inner.cfg, &self.inner.obs, &mut guard) else {
             return Err(guard);
         };
@@ -1924,7 +1576,7 @@ impl JobServer {
     /// exit (the [`run`](JobServer::run) drain).
     fn worker_loop(&self, worker: u32) {
         loop {
-            match self.try_pack_then_claim(worker, self.lock_state()) {
+            match self.try_batch_then_claim(worker, self.lock_state()) {
                 Ok(()) => {}
                 Err(guard) => {
                     drop(guard);
@@ -1941,7 +1593,7 @@ impl JobServer {
     fn serving_loop(&self, worker: u32) {
         let mut st = self.lock_state();
         loop {
-            match self.try_pack_then_claim(worker, st) {
+            match self.try_batch_then_claim(worker, st) {
                 Ok(()) => {
                     st = self.lock_state();
                     continue;
@@ -1959,11 +1611,7 @@ impl JobServer {
             }
             match st.phase {
                 ServePhase::Shutdown => break,
-                ServePhase::Draining
-                    if st.jobs.is_empty() && st.finalizing == 0 && st.forming == 0 =>
-                {
-                    break
-                }
+                ServePhase::Draining if st.jobs.is_empty() && st.finalizing == 0 => break,
                 _ => {
                     st = self.inner.work.wait(st).expect("server lock poisoned");
                 }

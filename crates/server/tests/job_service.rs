@@ -20,7 +20,7 @@ fn server(threads: usize, quantum: u64) -> JobServer {
         cache_capacity: 16,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     })
 }
 

@@ -52,7 +52,7 @@ fn submit_while_serving_is_live() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let first = serving.submit(request("first", 40, 1)).unwrap();
     // The first job is already executing; submit more mid-flight.
@@ -81,7 +81,7 @@ fn partial_aggregates_are_prefix_consistent_mid_flight() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let handle = serving.submit(request("long", 1_000_000, 7)).unwrap();
     // Wait until the *contiguous* completed prefix has real length
@@ -112,7 +112,7 @@ fn cancel_mid_job_returns_prefix_consistent_partial() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let handle = serving.submit(request("cancel_me", 1_000_000, 3)).unwrap();
     while handle.progress().shots_done < 12 {
@@ -147,7 +147,7 @@ fn cancel_before_execution_yields_empty_result() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let handle = server.submit(request("never_ran", 50, 1)).unwrap();
     handle.cancel();
@@ -169,7 +169,7 @@ fn drain_completes_all_accepted_jobs() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let server = serving.server().clone();
     let mut expected = Vec::new();
@@ -205,7 +205,7 @@ fn shutdown_finalizes_unfinished_jobs_as_cancelled_partials() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let small = serving.submit(request("small", 8, 5)).unwrap();
     let big = serving.submit(request("big", 1_000_000, 6)).unwrap();
@@ -256,7 +256,7 @@ fn panicking_quantum_fails_the_job_not_the_server() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let c = cfg();
     let panicky = PanickyFactory {
@@ -299,7 +299,7 @@ fn cancel_after_completion_is_a_noop() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let handle = serving.submit(request("done_first", 8, 9)).unwrap();
     let result = handle.wait();
@@ -339,7 +339,7 @@ fn streaming_submissions_share_the_compile_cache() {
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: None,
+        packer: false,
     });
     let text = feedback_chain(0, 30).unwrap().to_string();
     let c = cfg();

@@ -8,21 +8,15 @@
 //! enter the block information table with no cross-task dependencies —
 //! the scheduler's dependency check then lets every task run as soon as
 //! a processor is free, which the paper calls pre-determined allocation.
-//!
-//! [`pack`] is the metadata-carrying variant behind the serving path's
-//! packer stage: alongside the combined program it returns one
-//! [`MemberSlice`] per task recording where that task landed (qubit
-//! region, instruction address range, block range), so a de-multiplexer
-//! can slice per-task results back out of the combined run. Relocation
-//! itself is the audited ISA rule
+//! Relocation itself is the audited ISA rule
 //! ([`quape_isa::Instruction::relocated`]); this module only chooses
-//! the offsets.
+//! the offsets: task *i* starts at the prefix sums of the earlier tasks'
+//! qubit widths and instruction counts.
 
 use quape_isa::{
     qubit_span, BlockInfo, BlockInfoTable, Dependency, Instruction, Program, ProgramError, StepId,
 };
 use std::fmt;
-use std::ops::Range;
 
 /// Errors from combining programs.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,58 +55,6 @@ impl From<ProgramError> for CombineError {
     }
 }
 
-/// Where one member program landed inside a combined workload: the
-/// result-slicing metadata a de-multiplexer needs to attribute combined
-/// per-qubit results (and per-block activity) back to the member.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemberSlice {
-    /// First qubit of the member's region in the combined qubit space.
-    pub qubit_offset: u16,
-    /// Width of the member's region — the member's own
-    /// [`Program::num_qubits`], i.e. the [`qubit_span`] of its
-    /// referenced qubits. Member qubit `q` lives at combined qubit
-    /// `qubit_offset + q`.
-    pub qubit_count: u16,
-    /// The member's instruction range in the combined address space.
-    pub addrs: Range<u32>,
-    /// The member's block-table range in the combined table.
-    pub blocks: Range<u16>,
-}
-
-impl MemberSlice {
-    /// The member's qubit region as a combined-space index range.
-    pub fn qubit_range(&self) -> Range<usize> {
-        let start = usize::from(self.qubit_offset);
-        start..start + usize::from(self.qubit_count)
-    }
-
-    /// Slices a combined per-qubit vector (histograms, digests, …) down
-    /// to this member's region — the de-multiplexing rule for any
-    /// qubit-indexed result of the combined run.
-    pub fn demux<'a, T>(&self, per_qubit: &'a [T]) -> &'a [T] {
-        &per_qubit[self.qubit_range()]
-    }
-}
-
-/// A combined multiprogrammed workload plus per-member slicing metadata.
-#[derive(Debug, Clone)]
-pub struct PackedProgram {
-    /// The combined program (what [`combine`] returns).
-    pub combined: Program,
-    /// One slice per input program, in input order.
-    pub members: Vec<MemberSlice>,
-}
-
-impl PackedProgram {
-    /// Total qubit span of the combined workload.
-    pub fn qubit_span(&self) -> u16 {
-        self.members
-            .last()
-            .map(|m| m.qubit_offset + m.qubit_count)
-            .unwrap_or(0)
-    }
-}
-
 /// Combines independent programs into one multiprogrammed workload.
 ///
 /// Task *i*'s qubits move up by the sum of the earlier tasks' widths; its
@@ -126,13 +68,6 @@ impl PackedProgram {
 /// [`CombineError::TooManyQubits`] when the tasks exceed the qubit
 /// address space.
 pub fn combine(programs: &[Program]) -> Result<Program, CombineError> {
-    pack(programs).map(|p| p.combined)
-}
-
-/// [`combine`], keeping the per-member relocation metadata: the packer
-/// stage of the job server uses the returned [`MemberSlice`]s to map
-/// each member's handle onto its region of the combined run.
-pub fn pack(programs: &[Program]) -> Result<PackedProgram, CombineError> {
     if programs.is_empty() {
         return Err(CombineError::Empty);
     }
@@ -145,7 +80,6 @@ pub fn pack(programs: &[Program]) -> Result<PackedProgram, CombineError> {
 
     let mut instructions: Vec<Instruction> = Vec::new();
     let mut table = BlockInfoTable::new();
-    let mut members = Vec::with_capacity(programs.len());
     let mut qubit_offset: u16 = 0;
     for (task, p) in programs.iter().enumerate() {
         let addr_offset = instructions.len() as u32;
@@ -190,14 +124,7 @@ pub fn pack(programs: &[Program]) -> Result<PackedProgram, CombineError> {
                     .map_err(ProgramError::from)?;
             }
         }
-        let qubit_count = p.num_qubits();
-        members.push(MemberSlice {
-            qubit_offset,
-            qubit_count,
-            addrs: addr_offset..instructions.len() as u32,
-            blocks: block_start..table.len() as u16,
-        });
-        qubit_offset += qubit_count;
+        qubit_offset += p.num_qubits();
     }
     debug_assert_eq!(
         u32::from(qubit_span(
@@ -211,45 +138,7 @@ pub fn pack(programs: &[Program]) -> Result<PackedProgram, CombineError> {
         total_qubits,
     );
     let step_map: Vec<Option<StepId>> = vec![None; instructions.len()];
-    Ok(PackedProgram {
-        combined: Program::with_parts(instructions, table, step_map)?,
-        members,
-    })
-}
-
-/// The [`MemberSlice`] layout [`pack`] would assign, computed without
-/// building the combined program: member *i* sits at the prefix sums of
-/// the earlier members' qubit spans, instruction counts, and block
-/// counts (an untabled program contributes one implicit block). A
-/// caller that already holds the compiled combine for this member
-/// sequence (e.g. the job server's pack cache) reconstructs the
-/// de-multiplexer metadata in O(members) instead of re-running the
-/// relocation pass.
-pub fn layout<'a>(programs: impl IntoIterator<Item = &'a Program>) -> Vec<MemberSlice> {
-    let mut qubit_offset: u16 = 0;
-    let mut addr: u32 = 0;
-    let mut block: u16 = 0;
-    programs
-        .into_iter()
-        .map(|p| {
-            let qubit_count = p.num_qubits();
-            let blocks = if p.blocks().is_empty() {
-                1
-            } else {
-                p.blocks().len() as u16
-            };
-            let slice = MemberSlice {
-                qubit_offset,
-                qubit_count,
-                addrs: addr..addr + p.len() as u32,
-                blocks: block..block + blocks,
-            };
-            qubit_offset += qubit_count;
-            addr += p.len() as u32;
-            block += blocks;
-            slice
-        })
-        .collect()
+    Ok(Program::with_parts(instructions, table, step_map)?)
 }
 
 #[cfg(test)]
@@ -257,20 +146,6 @@ mod tests {
     use super::*;
     use crate::feedback::rus_block;
     use quape_isa::{assemble, ClassicalOp, QuantumOp};
-
-    #[test]
-    fn layout_matches_the_slices_pack_assigns() {
-        // Mix of block-table and untabled programs, including a
-        // zero-qubit-width member (pure classical STOP).
-        let programs = vec![
-            assemble("top: 0 X q0\n1 MEAS q0\nFMR r0, q0\nCMPI r0, 1\nBR EQ, top\nSTOP\n").unwrap(),
-            rus_block(0).unwrap(),
-            assemble("0 H q0\n0 H q1\nSTOP\n").unwrap(),
-            assemble("LDI r0, 3\nSTOP\n").unwrap(),
-        ];
-        let packed = pack(&programs).unwrap();
-        assert_eq!(layout(&programs), packed.members);
-    }
 
     #[test]
     fn combine_relocates_qubits_and_targets() {
@@ -315,7 +190,6 @@ mod tests {
     #[test]
     fn empty_input_rejected() {
         assert_eq!(combine(&[]).unwrap_err(), CombineError::Empty);
-        assert!(matches!(pack(&[]).unwrap_err(), CombineError::Empty));
     }
 
     #[test]
@@ -329,82 +203,34 @@ mod tests {
     fn qubit_budget_boundary_is_exact() {
         // 128 qubits is the full 7-bit space: exactly representable.
         let half = assemble("0 H q63\nSTOP\n").unwrap();
-        let packed = pack(&[half.clone(), half.clone()]).unwrap();
-        assert_eq!(packed.qubit_span(), 128);
-        assert_eq!(packed.combined.num_qubits(), 128);
+        let combined = combine(&[half.clone(), half.clone()]).unwrap();
+        assert_eq!(combined.num_qubits(), 128);
         // One more qubit overflows.
         let one = assemble("0 H q0\nSTOP\n").unwrap();
-        let err = pack(&[half.clone(), half, one]).unwrap_err();
+        let err = combine(&[half.clone(), half, one]).unwrap_err();
         assert!(matches!(err, CombineError::TooManyQubits { required: 129 }));
     }
 
     #[test]
-    fn member_slices_partition_the_combined_program() {
-        let a =
-            assemble("top: 0 X q0\n1 MEAS q0\nFMR r0, q0\nCMPI r0, 1\nBR EQ, top\nSTOP\n").unwrap();
-        let b = assemble("0 H q0\n0 H q1\nSTOP\n").unwrap();
-        let c = rus_block(0).unwrap();
-        let inputs = [a, b, c];
-        let packed = pack(&inputs).unwrap();
-
-        assert_eq!(packed.members.len(), 3);
-        assert_eq!(packed.qubit_span(), packed.combined.num_qubits());
-
-        let mut next_qubit = 0u16;
-        let mut next_addr = 0u32;
-        let mut next_block = 0u16;
-        for (slice, input) in packed.members.iter().zip(&inputs) {
-            // Slices tile the qubit, address, and block spaces in order
-            // with no gaps and no overlap.
-            assert_eq!(slice.qubit_offset, next_qubit);
-            assert_eq!(slice.qubit_count, input.num_qubits());
-            assert_eq!(slice.addrs.start, next_addr);
-            assert_eq!(slice.addrs.len(), input.len());
-            assert_eq!(slice.blocks.start, next_block);
-            next_qubit += slice.qubit_count;
-            next_addr = slice.addrs.end;
-            next_block = slice.blocks.end;
-
-            // Every qubit the member's combined instructions reference
-            // falls inside the member's declared region.
-            for addr in slice.addrs.clone() {
-                for q in packed.combined.instructions()[addr as usize].referenced_qubits() {
-                    assert!(slice.qubit_range().contains(&usize::from(q.index())));
-                }
-            }
-        }
-        assert_eq!(next_addr as usize, packed.combined.len());
-        assert_eq!(next_block as usize, packed.combined.blocks().len());
-        assert_eq!(next_qubit, packed.qubit_span());
-    }
-
-    #[test]
-    fn demux_slices_a_per_qubit_vector() {
-        let a = assemble("0 H q0\nSTOP\n").unwrap();
-        let b = assemble("0 H q0\n0 H q1\nSTOP\n").unwrap();
-        let packed = pack(&[a, b]).unwrap();
-        let per_qubit: Vec<u16> = (0..packed.qubit_span()).collect();
-        assert_eq!(packed.members[0].demux(&per_qubit), &[0]);
-        assert_eq!(packed.members[1].demux(&per_qubit), &[1, 2]);
-    }
-
-    #[test]
     fn relocated_member_replays_the_same_local_ops() {
-        // The combined instructions of each member, shifted back down,
-        // are exactly the member's own instructions (modulo branch
-        // rebasing) — the property that makes slice-based de-muxing
-        // meaningful.
+        // Each task's combined instructions are exactly its own
+        // instructions relocated by the prefix sums of the earlier
+        // tasks' qubit widths and instruction counts.
         let a = rus_block(0).unwrap();
         let b = assemble("0 H q0\n1 MEAS q0\nFMR r1, q0\nSTOP\n").unwrap();
         let inputs = [a, b];
-        let packed = pack(&inputs).unwrap();
-        for (slice, input) in packed.members.iter().zip(&inputs) {
-            for (local, addr) in slice.addrs.clone().enumerate() {
-                let combined_instr = packed.combined.instructions()[addr as usize];
-                let original = input.instructions()[local];
-                let expect = original.relocated(slice.qubit_offset, slice.addrs.start);
-                assert_eq!(combined_instr, expect);
+        let combined = combine(&inputs).unwrap();
+        let (mut qubit_offset, mut addr_offset) = (0u16, 0u32);
+        for input in &inputs {
+            for (local, original) in input.instructions().iter().enumerate() {
+                let addr = addr_offset as usize + local;
+                let expect = original.relocated(qubit_offset, addr_offset);
+                assert_eq!(combined.instructions()[addr], expect);
             }
+            qubit_offset += input.num_qubits();
+            addr_offset += input.len() as u32;
         }
+        assert_eq!(addr_offset as usize, combined.len());
+        assert_eq!(qubit_offset, combined.num_qubits());
     }
 }

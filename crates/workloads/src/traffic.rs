@@ -142,10 +142,9 @@ pub fn sharded_traffic(seed: u64, requests: usize, distinct: usize) -> Vec<Traff
 }
 
 /// The distinct programs of the *small-job* stream: narrow spans (one
-/// or two qubits) and short bodies, so many of them fit side by side in
-/// the qubit space after relocation. This is the packing regime of
-/// §3.1.2 — jobs too small to amortize their own scheduling overhead,
-/// which a multiprogramming packer merges into one shot stream.
+/// or two qubits) and short bodies. This is the multiprogramming regime
+/// of §3.1.2 — jobs too small to amortize their own scheduling
+/// overhead, which the server's claim batching serves in shared claims.
 pub fn small_program_pool() -> Vec<(&'static str, Program)> {
     vec![
         ("cond_x", conditional_x(0).expect("valid workload")),
@@ -158,10 +157,9 @@ pub fn small_program_pool() -> Vec<(&'static str, Program)> {
 
 /// A deterministic small-job-heavy stream for the packing benchmark:
 /// every request draws from [`small_program_pool`], runs the same shot
-/// count at the same priority, and names one of four tenants — so under
-/// the server's exact-shot pack policy every co-queued pair is
-/// packable, and the packed-vs-interleaved comparison measures the
-/// packer, not stream skew.
+/// count at the same priority, and names one of four tenants — so every
+/// co-queued pair is batchable, and the packed-vs-interleaved
+/// comparison measures claim batching, not stream skew.
 pub fn small_job_traffic(seed: u64, requests: usize) -> Vec<TrafficRequest> {
     let pool: Vec<(String, String)> = small_program_pool()
         .into_iter()
@@ -282,8 +280,8 @@ mod tests {
             assert_eq!(x.name, y.name);
             assert_eq!(x.source, y.source);
         }
-        // One shot count, one priority class: a single pack class per
-        // config, so any co-queued pair is a packing candidate.
+        // One shot count, one priority class: a single batching class,
+        // so any co-queued pair is a batching candidate.
         assert!(a.iter().all(|r| r.shots == 16 && r.priority_class == 1));
         // Every pool program assembles and stays narrow (≤ 2 qubits).
         for (name, program) in small_program_pool() {

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cache_capacity: 8,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         profiles: vec![small, ShardProfile::unconstrained()],
         ..RouterConfig::default()
@@ -106,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cache_capacity: 4,
                 machine: None,
                 obs: Default::default(),
-                packer: None,
+                packer: false,
             },
             ..RouterConfig::default()
         },

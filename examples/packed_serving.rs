@@ -1,8 +1,8 @@
-//! Multiprogramming packing in the serving path (§3.1.2): a batch of
-//! small jobs too narrow to use the machine alone is merged by the
-//! server's packer into combined shot streams — one claim per quantum
-//! covers every co-resident member — and de-multiplexed back into
-//! per-job aggregates that are bit-identical to solo runs.
+//! Claim batching in the serving path (§3.1.2 multiprogramming): small
+//! queued jobs of equal priority and shot count are grouped by the
+//! server so one claim per quantum covers every member, while each
+//! member still runs its own engine — per-job aggregates stay
+//! bit-identical to solo runs.
 //!
 //! Run with `cargo run --release --example packed_serving`.
 
@@ -14,20 +14,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factory =
         BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
 
-    // A packer-enabled server: compatible queued jobs (same config,
-    // cycle budget, priority, and — under the default exact policy —
-    // shot count) merge into one packed entry when their
-    // relocated qubit regions fit side by side.
+    // A batching server: queued jobs with the same priority and shot
+    // count (up to eight) share one claim stream.
     let server = JobServer::new(ServerConfig {
         threads: 1,
         shot_quantum: 4,
         cache_capacity: 8,
         machine: None,
         obs: Default::default(),
-        packer: Some(PackerConfig::default()),
+        packer: true,
     });
 
-    // Six narrow jobs (1–2 qubits each), all the same shape class.
+    // Six small jobs, all with the same priority and shot count.
     let programs = [
         ("cond_x_a", conditional_x(0)?),
         ("cond_x_b", conditional_x(0)?),
@@ -53,12 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let results = server.run();
     let stats = server.packer_stats();
     println!(
-        "packs formed: {} ({} jobs packed, {} shots; {} declined)",
-        stats.packs_formed, stats.jobs_packed, stats.packed_shots, stats.declined
+        "packs formed: {} ({} jobs packed, {} shots)",
+        stats.packs_formed, stats.jobs_packed, stats.packed_shots
     );
 
-    // De-mux exactness: each packed job's aggregate is bit-identical to
-    // the same program run solo on its own engine with the same seed.
+    // Each batched job's aggregate is bit-identical to the same program
+    // run solo on its own engine with the same seed.
     for (i, result) in results.iter().enumerate() {
         let (name, program) = &programs[i];
         let job = CompiledJob::compile(cfg.clone(), program.clone())?;

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             cache_capacity: 8,
             machine: None,
             obs: Default::default(),
-            packer: None,
+            packer: false,
         },
         ..RouterConfig::default()
     });

@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use quape_server::{
         JobError, JobHandle, JobProgress, JobRequest, JobServer, JobSource, MachineSpec,
-        PackerConfig, PackerStats, Priority, ServerConfig, ServingServer, ShotPolicy,
+        PackerStats, Priority, ServerConfig, ServingServer,
     };
     pub use quape_workloads::{benchmark_suite, ShorSyndrome, ShorSyndromeConfig};
 }
