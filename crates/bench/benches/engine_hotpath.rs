@@ -6,25 +6,21 @@
 //! twins (≥ 5x on the MRCE chain): the workload spends most of every
 //! round stalled on the acquisition chain, and the event core jumps
 //! those spans on the pre-resolved micro-op array instead of ticking
-//! them. `*_event_arena` adds per-worker scratch reuse on top (no
-//! per-shot machine construction — the engine's default path), and the
+//! them. `*_event_arena` runs the engine's serving path instead — lean
+//! shots on one reused `WorkerScratch` through
+//! `ShotEngine::run_shot_reusing`, as the job server and the repo
+//! benchmark run them (no per-shot machine construction) — and the
 //! `lowering` rows price the one-time compile-side lowering cost those
 //! savings amortise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use quape_core::{CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, StepMode};
+use quape_core::{CompiledJob, QuapeConfig, ShotEngine, StepMode, WorkerScratch};
 use quape_isa::LoweredProgram;
-use quape_qpu::{BehavioralQpu, MeasurementModel};
+use quape_qpu::{BehavioralQpu, BehavioralQpuFactory, MeasurementModel};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
 use quape_workloads::pulse::pulse_train;
 
-fn shot_bench_with(
-    c: &mut Criterion,
-    name: &str,
-    job: &CompiledJob,
-    mode: StepMode,
-    report: ReportMode,
-) {
+fn shot_bench(c: &mut Criterion, name: &str, job: &CompiledJob, mode: StepMode) {
     let cfg = job.cfg().clone();
     c.bench_function(name, |b| {
         let mut seed = 0u64;
@@ -36,32 +32,26 @@ fn shot_bench_with(
                 seed,
             );
             job.shot(Box::new(qpu), seed)
-                .report_mode(report)
                 .run_with_mode(mode, 10_000_000)
                 .cycles
         })
     });
 }
 
-fn shot_bench(c: &mut Criterion, name: &str, job: &CompiledJob, mode: StepMode) {
-    shot_bench_with(c, name, job, mode, ReportMode::Full);
-}
-
-/// The engine's steady-state serving path: one reused
-/// [`LoweredShotRunner`] arena, reset in place per shot.
+/// The engine's steady-state serving path: lean shots on one reused
+/// [`WorkerScratch`], reset in place per shot.
 fn arena_bench(c: &mut Criterion, name: &str, job: &CompiledJob) {
-    let cfg = job.cfg().clone();
+    let factory = BehavioralQpuFactory::new(
+        job.cfg().timings,
+        MeasurementModel::Bernoulli { p_one: 0.5 },
+    );
+    let engine = ShotEngine::new(job.clone(), factory);
     c.bench_function(name, |b| {
-        let mut runner = LoweredShotRunner::new(job.clone());
-        let mut seed = 0u64;
+        let mut scratch = WorkerScratch::new();
+        let mut shot = 0u64;
         b.iter(|| {
-            seed = seed.wrapping_add(1);
-            let qpu = BehavioralQpu::new(
-                cfg.timings,
-                MeasurementModel::Bernoulli { p_one: 0.5 },
-                seed,
-            );
-            runner.run_shot(Box::new(qpu), seed, 10_000_000).cycles
+            shot = shot.wrapping_add(1);
+            engine.run_shot_reusing(shot, &mut scratch).cycles
         })
     });
 }
@@ -91,16 +81,6 @@ fn bench(c: &mut Criterion) {
     .expect("job compiles");
     shot_bench(c, "fmr_chain1k_cycle", &fmr, StepMode::Cycle);
     shot_bench(c, "fmr_chain1k_event", &fmr, StepMode::EventDriven);
-    // Lean (summary-only) reports: the batch/serving default. The chain
-    // workload's dominant report cost is the measure-wait trace, which
-    // lean mode never materialises.
-    shot_bench_with(
-        c,
-        "fmr_chain1k_event_lean",
-        &fmr,
-        StepMode::EventDriven,
-        ReportMode::Lean,
-    );
     arena_bench(c, "fmr_chain1k_event_arena", &fmr);
     lowering_bench(c, "lowering_fmr_chain1k", &fmr);
 
@@ -125,15 +105,7 @@ fn bench(c: &mut Criterion) {
     .expect("job compiles");
     shot_bench(c, "awg_playback_cycle", &awg, StepMode::Cycle);
     shot_bench(c, "awg_playback_event", &awg, StepMode::EventDriven);
-    // Lean mode on the playback-bound workload: the issued-op log and
-    // the AWG playback timeline are its big report vectors.
-    shot_bench_with(
-        c,
-        "awg_playback_event_lean",
-        &awg,
-        StepMode::EventDriven,
-        ReportMode::Lean,
-    );
+    arena_bench(c, "awg_playback_event_arena", &awg);
     lowering_bench(c, "lowering_pulse_train", &awg);
 }
 

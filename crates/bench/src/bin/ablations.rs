@@ -127,9 +127,12 @@ fn ablate_granularity() {
 fn main() {
     let runs = std::env::args()
         .position(|a| a == "--runs")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
+        .map_or(50, |i| {
+            std::env::args()
+                .nth(i + 1)
+                .and_then(|v| v.parse().ok())
+                .expect("--runs needs a number")
+        });
     ablate_prefetch(runs);
     ablate_fcs();
     ablate_width();

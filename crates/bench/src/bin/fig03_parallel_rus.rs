@@ -23,8 +23,7 @@ fn run(processors: usize, seed: u64) -> quape_core::RunReport {
 fn main() {
     let seed: u64 = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(11);
+        .map_or(11, |a| a.parse().expect("seed needs a number"));
     let opts = TimelineOptions {
         ns_per_column: 20,
         max_columns: 100,

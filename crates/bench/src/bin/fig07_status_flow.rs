@@ -10,8 +10,7 @@ use quape_bench::table::TextTable;
 fn main() {
     let processors: usize = std::env::args()
         .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2);
+        .map_or(2, |a| a.parse().expect("processors needs a number"));
     println!("Fig. 7 — block status flow on {processors} processor(s):");
     let events = fig07::run(processors);
     let mut t = TextTable::new(["cycle", "block", "status", "processor"]);

@@ -8,12 +8,11 @@ use quape_bench::table::{to_json, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let runs = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+    let runs = args.iter().position(|a| a == "--runs").map_or(200, |i| {
+        args.get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .expect("--runs needs a number")
+    });
     let json = args.iter().any(|a| a == "--json");
 
     let (q, c, blocks, priorities) = fig11::workload_stats();

@@ -31,8 +31,9 @@ pub trait QpuBackend {
     fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>);
 
     /// Asks the backend to stop (or resume) materialising its
-    /// per-operation log — the [`ReportMode::Lean`](crate::ReportMode)
-    /// hook for batch/serving paths that only read counters. Backends
+    /// per-operation log. Every [`ShotEngine`](crate::ShotEngine) shot
+    /// asks for lean, since its [`ShotSummary`](crate::ShotSummary) only
+    /// reads counters. Backends
     /// that ignore the hint stay correct, just slower; outcomes must be
     /// identical either way.
     fn set_lean(&mut self, lean: bool) {

@@ -70,9 +70,9 @@ pub fn decoherence_cost(
 ) -> DecoherenceCost {
     let late_ns = report.stats.late_cycles * clock_ns;
     // From the stats counters, not `wait_cycles.len()`: the counters are
-    // exact in both report modes, while lean reports leave the wait
-    // trace empty (the two agree 1:1 on full reports — one trace entry
-    // is pushed per counter increment).
+    // exact on every core, while lean cores leave the wait trace empty
+    // (the two agree 1:1 on full reports — one trace entry is pushed per
+    // counter increment).
     let measure_wait_cycles: u64 = report
         .stats
         .processors

@@ -19,10 +19,13 @@
 //!   counts, and the measured wall time / shots-per-second.
 
 use crate::backend::{QpuBackend, StateVectorQpu};
-use crate::machine::{CompiledJob, LoweredShotRunner, MeasurementRecord, ReportMode, StepMode};
+use crate::fast::FastProcessor;
+use crate::machine::{CompiledJob, MeasurementRecord, ShotCore, StepMode};
 use crate::report::StopReason;
 use quape_isa::OpTimings;
 use quape_qpu::{BehavioralQpuFactory, DepolarizingNoise, ReadoutError};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -102,7 +105,7 @@ impl QpuFactory for StateVectorQpuFactory {
 
 /// Per-qubit outcome digest of one shot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
-struct QubitShotDigest {
+pub(crate) struct QubitShotDigest {
     zeros: u64,
     ones: u64,
     first: Option<bool>,
@@ -134,10 +137,10 @@ pub struct ShotSummary {
     /// Results delayed by DAQ demod contention.
     pub daq_contended: u64,
     /// Per-qubit outcome digest, indexed by qubit.
-    per_qubit: Vec<QubitShotDigest>,
+    pub(crate) per_qubit: Vec<QubitShotDigest>,
 }
 
-fn digest_measurements(
+pub(crate) fn digest_measurements(
     num_qubits: u16,
     measurements: &[MeasurementRecord],
 ) -> Vec<QubitShotDigest> {
@@ -419,15 +422,24 @@ impl EngineObs {
 /// Per-worker reusable machine state for
 /// [`ShotEngine::run_shot_reusing`].
 ///
-/// One scratch per worker thread; the engine's own `run` loops keep one
-/// per worker automatically. The scratch lazily holds a
-/// [`LoweredShotRunner`] keyed by job digest: every lean event-driven
-/// shot (the engine default) of the same job reuses its arena, a
-/// different job rebuilds it (so external pools — e.g. the job
-/// service's workers — may hold one scratch across jobs).
+/// [`CompiledJob::shot`] rebuilds the whole per-shot state — processors,
+/// scheduler table, device queues, event sinks, measurement log — on the
+/// heap for every shot, although its shapes derive from the job, not
+/// from the outcomes. A scratch instead holds one lowered shot core,
+/// keyed by job digest: the first event-driven shot of a job builds it,
+/// every later one resets it **in place**, so the steady-state per-shot
+/// allocation count does not depend on the program (the `engine_heap`
+/// test pins it with a counting allocator). A shot of a different job
+/// rebuilds the core, so one scratch may serve many jobs in turn.
+///
+/// Keep one scratch per worker thread and lend it to every shot the
+/// worker runs; the engine's own `run` loops and the job server's
+/// workers do. Reset fidelity is differential-tested: summaries from a
+/// reused scratch are bit-identical to fresh shots and to the
+/// [`StepMode::Cycle`] oracle.
 #[derive(Default)]
 pub struct WorkerScratch {
-    runner: Option<LoweredShotRunner>,
+    core: Option<ShotCore<FastProcessor>>,
 }
 
 impl WorkerScratch {
@@ -436,17 +448,20 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// The scratch's runner for `job`, (re)built if the held one serves
-    /// a different job.
-    fn runner_for(&mut self, job: &CompiledJob) -> &mut LoweredShotRunner {
-        let stale = self
-            .runner
-            .as_ref()
-            .is_none_or(|r| r.job().digest() != job.digest());
-        if stale {
-            self.runner = Some(LoweredShotRunner::new(job.clone()));
+    /// The scratch's lean lowered core, set up for one shot of `job`
+    /// driving `qpu`: reset in place when it already serves `job`,
+    /// (re)built otherwise.
+    fn core_for(
+        &mut self,
+        job: &CompiledJob,
+        qpu: Box<dyn QpuBackend>,
+        rng: SmallRng,
+    ) -> &mut ShotCore<FastProcessor> {
+        match &mut self.core {
+            Some(core) if core.job().digest() == job.digest() => core.reset_for_shot(qpu, rng),
+            slot => *slot = Some(job.fast_core(qpu, rng, true)),
         }
-        self.runner.as_mut().expect("runner just ensured")
+        self.core.as_mut().expect("core just ensured")
     }
 }
 
@@ -475,7 +490,6 @@ pub struct ShotEngine {
     base_seed: u64,
     cycle_limit: u64,
     step_mode: StepMode,
-    report_mode: ReportMode,
     obs: EngineObs,
 }
 
@@ -483,8 +497,8 @@ impl ShotEngine {
     /// Creates an engine for `job` with backends from `factory`.
     ///
     /// Defaults: automatic thread count (`available_parallelism`), base
-    /// seed from the job's config, 10-million-cycle budget per shot,
-    /// event-driven stepping on the lowered core, and lean reports.
+    /// seed from the job's config, 10-million-cycle budget per shot, and
+    /// event-driven stepping on the lowered core.
     pub fn new(job: CompiledJob, factory: impl QpuFactory + 'static) -> Self {
         let base_seed = job.cfg().seed;
         ShotEngine {
@@ -494,7 +508,6 @@ impl ShotEngine {
             base_seed,
             cycle_limit: 10_000_000,
             step_mode: StepMode::default(),
-            report_mode: ReportMode::Lean,
             obs: EngineObs::off(),
         }
     }
@@ -524,18 +537,6 @@ impl ShotEngine {
     /// comparisons.
     pub fn step_mode(mut self, step_mode: StepMode) -> Self {
         self.step_mode = step_mode;
-        self
-    }
-
-    /// Sets how much of each shot's report is materialised. The engine
-    /// defaults to [`ReportMode::Lean`]: every shot is reduced to a
-    /// [`ShotSummary`] of counters anyway, so the per-shot
-    /// `wait_cycles`/`issued`/`playback` vectors would be allocated only
-    /// to be dropped. Aggregates are bit-identical in both modes
-    /// (differential-tested); [`ReportMode::Full`] exists for
-    /// apples-to-apples comparisons against figure-level runs.
-    pub fn report_mode(mut self, report_mode: ReportMode) -> Self {
-        self.report_mode = report_mode;
         self
     }
 
@@ -580,11 +581,11 @@ impl ShotEngine {
     }
 
     /// [`run_shot`](ShotEngine::run_shot) with a per-worker reusable
-    /// arena: in the default configuration (event-driven, lean reports)
-    /// the shot runs on `scratch`'s [`LoweredShotRunner`], so machine
-    /// state is reset in place instead of reallocated per shot. The
-    /// [`StepMode::Cycle`] oracle and [`ReportMode::Full`] build fresh
-    /// state per shot. The summary is bit-identical either way —
+    /// arena: under [`StepMode::EventDriven`] (the default) the shot runs
+    /// on `scratch`'s lowered core, reset in place instead of reallocated
+    /// per shot; the [`StepMode::Cycle`] oracle builds a fresh reference
+    /// core. Every engine shot is lean: it records only what its
+    /// [`ShotSummary`] reads. The summary is bit-identical either way —
     /// `scratch` affects host allocation behaviour only, and it
     /// revalidates itself against the engine's job, so one scratch may
     /// serve engines of different jobs sequentially.
@@ -593,45 +594,18 @@ impl ShotEngine {
         // Distinct derived streams for the backend and the machine's DAQ
         // jitter so the two never correlate.
         let qpu = self.factory.create(seed);
-        let machine_seed = splitmix64(seed ^ 0x51AE_17E5);
-        if self.step_mode == StepMode::EventDriven && self.report_mode == ReportMode::Lean {
-            let runner = scratch.runner_for(&self.job);
-            let outcome = runner.run_shot(qpu, machine_seed, self.cycle_limit);
-            let summary = ShotSummary {
-                shot,
-                seed,
-                cycles: outcome.cycles,
-                execution_time_ns: outcome.execution_time_ns(),
-                stop: outcome.stop,
-                issued: outcome.issued_ops,
-                late_issues: outcome.late_issues,
-                late_cycles: outcome.late_cycles,
-                violations: outcome.violations,
-                awg_violations: outcome.awg_violations,
-                daq_contended: outcome.daq_contended,
-                per_qubit: digest_measurements(self.job.num_qubits(), outcome.measurements),
-            };
-            self.obs.record(&summary);
-            return summary;
-        }
-        let report = self
-            .job
-            .shot(qpu, machine_seed)
-            .report_mode(self.report_mode)
-            .run_with_mode(self.step_mode, self.cycle_limit);
-        let summary = ShotSummary {
-            shot,
-            seed,
-            cycles: report.cycles,
-            execution_time_ns: report.execution_time_ns(),
-            stop: report.stop,
-            issued: report.issued_ops,
-            late_issues: report.stats.late_issues,
-            late_cycles: report.stats.late_cycles,
-            violations: report.violations.len() as u64,
-            awg_violations: report.awg_violations.len() as u64,
-            daq_contended: report.stats.daq_contended_results,
-            per_qubit: digest_measurements(self.job.num_qubits(), &report.measurements),
+        let rng = SmallRng::seed_from_u64(splitmix64(seed ^ 0x51AE_17E5));
+        let summary = match self.step_mode {
+            StepMode::EventDriven => {
+                let core = scratch.core_for(&self.job, qpu, rng);
+                let stop = core.run_fast_loop(self.cycle_limit);
+                core.summary(shot, seed, stop)
+            }
+            StepMode::Cycle => {
+                let mut core = self.job.reference_core(qpu, rng, true);
+                let stop = core.run_loop(self.cycle_limit);
+                core.summary(shot, seed, stop)
+            }
         };
         self.obs.record(&summary);
         summary

@@ -74,10 +74,7 @@ pub use engine::{
     shot_seed, BatchAggregate, BatchReport, DistributionSummary, EngineObs, QpuFactory,
     QubitHistogram, ShotEngine, ShotSummary, StateVectorQpuFactory, StopCounts, WorkerScratch,
 };
-pub use machine::{
-    CompiledJob, LoweredShotRunner, Machine, MachineError, MeasurementRecord, ReportMode, Shot,
-    ShotOutcome, StepMode,
-};
+pub use machine::{CompiledJob, Machine, MachineError, MeasurementRecord, Shot, StepMode};
 pub use metrics::{ces_report, ces_report_paper, CesReport, StepMetrics, TR_GATE_NS};
 pub use report::{BlockEvent, MachineStats, ProcessorStats, RunReport, StepDispatch, StopReason};
 pub use timeline::{render_timeline, TimelineOptions};

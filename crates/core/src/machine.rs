@@ -17,6 +17,7 @@
 use crate::backend::QpuBackend;
 use crate::config::QuapeConfig;
 use crate::devices::{AwgBank, ChannelMap, Daq, MeasurementFile};
+use crate::engine::{digest_measurements, ShotSummary};
 use crate::fast::{FastProcessor, StallInfo};
 use crate::processor::{Env, Processor, ProcessorCore};
 use crate::report::{MachineStats, RunReport, StepDispatch, StopReason};
@@ -49,31 +50,8 @@ pub enum StepMode {
     EventDriven,
 }
 
-/// How much of a run a [`RunReport`] materialises.
-///
-/// The per-shot event vectors (`wait_cycles`, `issued`, `playback`,
-/// `step_dispatches`) are what figure-level analysis reads, but batch
-/// and serving paths reduce every shot to a
-/// [`ShotSummary`](crate::ShotSummary) of counters —
-/// materialising the vectors there is pure allocation cost. Lean mode
-/// skips them while keeping every counter (and therefore every
-/// [`BatchAggregate`](crate::BatchAggregate)) bit-identical to a full
-/// run: execution is unchanged, only the record-keeping is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReportMode {
-    /// Materialise everything — the default for [`Machine`]/[`Shot`]
-    /// figure-level runs.
-    #[default]
-    Full,
-    /// Summary-only: leave `wait_cycles`, `issued`, `playback` and
-    /// `step_dispatches` empty in the report; counters (`issued_ops`,
-    /// `stats.awg_triggers`, `stats.*`) stay exact. The default for
-    /// [`ShotEngine`](crate::ShotEngine) batches.
-    Lean,
-}
-
-/// A per-shot event trace: a plain `Vec` in full mode, a no-op sink in
-/// lean mode. Backs the report's `wait_cycles` (pushed from the
+/// A per-shot event trace: a plain `Vec` on a full core, a no-op sink on
+/// a lean one. Backs the report's `wait_cycles` (pushed from the
 /// processors' stall paths and bulk-filled by the event-driven skip)
 /// and `step_dispatches` (pushed per quantum dispatch) vectors.
 #[derive(Debug, Default)]
@@ -329,11 +307,14 @@ impl CompiledJob {
     }
 
     /// Builds a shot core generically: fresh processors, a scheduler with
-    /// the pre-task initial load applied, fresh devices and counters.
+    /// the pre-task initial load applied, fresh devices and counters. A
+    /// `lean` core runs identically but records no per-event vectors
+    /// (see [`ShotCore::set_lean`]).
     fn core<P: ProcessorCore>(
         &self,
         qpu: Box<dyn QpuBackend>,
-        rng_seed: u64,
+        rng: SmallRng,
+        lean: bool,
         code: Arc<P::Code>,
         new_proc: impl FnMut(usize) -> P,
     ) -> ShotCore<P> {
@@ -346,7 +327,7 @@ impl CompiledJob {
             processors: vec![Default::default(); cfg.num_processors],
             ..Default::default()
         };
-        ShotCore {
+        let mut core = ShotCore {
             job: self.clone(),
             code,
             processors,
@@ -355,7 +336,7 @@ impl CompiledJob {
             daq: Daq::new(cfg.daq_demod_slots),
             awg: AwgBank::new(cfg.timings),
             qpu,
-            rng: SmallRng::seed_from_u64(rng_seed),
+            rng,
             shared_regs: [0; SHARED_REG_COUNT],
             cycle: 0,
             halt: false,
@@ -367,29 +348,43 @@ impl CompiledJob {
             late_cycles: 0,
             measurements: Vec::new(),
             skip_scratch: Vec::with_capacity(cfg.num_processors),
-        }
+        };
+        core.set_lean(lean);
+        core
     }
 
     /// Builds the per-shot machine state for one execution, driving `qpu`
     /// and seeding the shot's PRNG (DAQ jitter) with `rng_seed`.
     pub fn shot(&self, qpu: Box<dyn QpuBackend>, rng_seed: u64) -> Shot {
         Shot {
-            core: self.core(qpu, rng_seed, self.code.clone(), |id| {
-                Processor::new(id, self.cfg.icache_banks)
-            }),
+            core: self.reference_core(qpu, SmallRng::seed_from_u64(rng_seed), false),
         }
     }
 
-    /// Builds the per-shot state directly on the lowered core — the
-    /// engine-internal twin of `shot(..)` + [`StepMode::EventDriven`].
+    /// Builds the per-shot state on the reference processor: the
+    /// [`StepMode::Cycle`] oracle's core.
+    pub(crate) fn reference_core(
+        &self,
+        qpu: Box<dyn QpuBackend>,
+        rng: SmallRng,
+        lean: bool,
+    ) -> ShotCore<Processor> {
+        self.core(qpu, rng, lean, self.code.clone(), |id| {
+            Processor::new(id, self.cfg.icache_banks)
+        })
+    }
+
+    /// Builds the per-shot state on the lowered core: the
+    /// [`StepMode::EventDriven`] core.
     pub(crate) fn fast_core(
         &self,
         qpu: Box<dyn QpuBackend>,
-        rng_seed: u64,
+        rng: SmallRng,
+        lean: bool,
     ) -> ShotCore<FastProcessor> {
         let lowered = self.lowered.clone();
         let banks = self.cfg.icache_banks;
-        self.core(qpu, rng_seed, lowered.clone(), move |id| {
+        self.core(qpu, rng, lean, lowered.clone(), move |id| {
             FastProcessor::new(id, lowered.clone(), banks)
         })
     }
@@ -430,10 +425,17 @@ pub(crate) struct ShotCore<P: ProcessorCore> {
 }
 
 impl<P: ProcessorCore> ShotCore<P> {
-    /// Selects how much of the run the report materialises (see
-    /// [`ReportMode`]).
-    fn set_report_mode(&mut self, mode: ReportMode) {
-        let lean = mode == ReportMode::Lean;
+    /// The job this core executes.
+    pub(crate) fn job(&self) -> &CompiledJob {
+        &self.job
+    }
+
+    /// Selects how much of the run the core records. A lean core — every
+    /// engine shot, which is reduced to a [`ShotSummary`] of counters —
+    /// leaves the `wait_cycles`, `step_dispatches`, `issued` and
+    /// `playback` vectors empty; execution and every counter are
+    /// unchanged. [`Shot`]/[`Machine`] runs are always full.
+    fn set_lean(&mut self, lean: bool) {
         self.wait_cycles.record = !lean;
         self.step_dispatches.record = !lean;
         self.awg.set_record_timeline(!lean);
@@ -507,14 +509,17 @@ impl<P: ProcessorCore> ShotCore<P> {
     }
 
     /// Runs until completion, a `HALT`, an error, or the cycle budget,
-    /// stepping every cycle: the [`StepMode::Cycle`] oracle.
-    pub(crate) fn run_loop(mut self, max_cycles: u64) -> RunReport {
+    /// stepping every cycle: the [`StepMode::Cycle`] oracle. Like
+    /// [`run_fast_loop`](ShotCore::run_fast_loop) it borrows the core and
+    /// returns the stop reason; the caller folds the result with
+    /// [`summary`](ShotCore::summary) or [`into_report`](ShotCore::into_report).
+    pub(crate) fn run_loop(&mut self, max_cycles: u64) -> StopReason {
         // `maybe_stalled` tracks whether the previous cycle observably
         // did nothing. While it holds, the stop conditions cannot have
         // changed (their inputs are all observable state), so only the
         // cycle budget needs re-checking.
         let mut maybe_stalled = false;
-        let stop = loop {
+        loop {
             if !maybe_stalled {
                 if self.error {
                     break StopReason::Error;
@@ -530,8 +535,29 @@ impl<P: ProcessorCore> ShotCore<P> {
                 break StopReason::CycleLimit;
             }
             maybe_stalled = !self.step_with_progress();
-        };
-        self.into_report(stop)
+        }
+    }
+
+    /// Reduces the finished shot to its [`ShotSummary`] — the one place
+    /// an engine digest is built, for either core. Reads the counters
+    /// [`into_report`](ShotCore::into_report) would surface without
+    /// consuming the core, so an arena core stays reusable.
+    pub(crate) fn summary(&self, shot: u64, seed: u64, stop: StopReason) -> ShotSummary {
+        let ns = self.cycle * self.job.cfg.clock_ns;
+        ShotSummary {
+            shot,
+            seed,
+            cycles: self.cycle,
+            execution_time_ns: ns.max(self.qpu.makespan_ns()),
+            stop,
+            issued: self.qpu.issued_count(),
+            late_issues: self.late_issues,
+            late_cycles: self.late_cycles,
+            violations: self.qpu.violations().len() as u64,
+            awg_violations: self.awg.violations().len() as u64,
+            daq_contended: self.daq.contended_results(),
+            per_qubit: digest_measurements(self.job.num_qubits, &self.measurements),
+        }
     }
 
     fn into_report(mut self, stop: StopReason) -> RunReport {
@@ -573,12 +599,12 @@ impl<P: ProcessorCore> ShotCore<P> {
 }
 
 impl ShotCore<FastProcessor> {
-    /// Returns the core to the state `CompiledJob::fast_core(qpu,
-    /// rng_seed)` would construct, but in place: every buffer, queue,
-    /// table and sink is cleared rather than reallocated. The
-    /// differential suites hold a reset core bit-identical to a fresh
-    /// one (see [`LoweredShotRunner`]).
-    fn reset_for_shot(&mut self, qpu: Box<dyn QpuBackend>, rng_seed: u64) {
+    /// Returns the core to the state `CompiledJob::fast_core(qpu, rng,
+    /// lean)` would construct, but in place: every buffer, queue, table
+    /// and sink is cleared rather than reallocated, and the lean switch
+    /// is kept. The differential suites hold a reset core bit-identical
+    /// to a fresh one (see [`WorkerScratch`](crate::WorkerScratch)).
+    pub(crate) fn reset_for_shot(&mut self, qpu: Box<dyn QpuBackend>, rng: SmallRng) {
         let num_processors = self.job.cfg.num_processors;
         for p in &mut self.processors {
             p.reset();
@@ -590,7 +616,8 @@ impl ShotCore<FastProcessor> {
         self.daq.reset();
         self.awg.reset();
         self.qpu = qpu;
-        self.rng = SmallRng::seed_from_u64(rng_seed);
+        self.qpu.set_lean(!self.wait_cycles.record);
+        self.rng = rng;
         self.shared_regs = [0; SHARED_REG_COUNT];
         self.cycle = 0;
         self.halt = false;
@@ -609,31 +636,8 @@ impl ShotCore<FastProcessor> {
         self.skip_scratch.clear();
     }
 
-    /// Reduces the finished shot to a borrowed [`ShotOutcome`]: the exact
-    /// counters [`into_report`](ShotCore::into_report) would surface,
-    /// without materialising an owned [`RunReport`]. Drains the QPU/AWG
-    /// result accumulators as a side effect (they restart empty on the
-    /// next reset).
-    fn finish_outcome(&mut self, stop: StopReason) -> ShotOutcome<'_> {
-        let (_issued, violations) = self.qpu.take_results();
-        let (_playback, awg_violations) = self.awg.take_results();
-        ShotOutcome {
-            cycles: self.cycle,
-            ns: self.cycle * self.job.cfg.clock_ns,
-            stop,
-            issued_ops: self.qpu.issued_count(),
-            late_issues: self.late_issues,
-            late_cycles: self.late_cycles,
-            violations: violations.len() as u64,
-            awg_violations: awg_violations.len() as u64,
-            daq_contended: self.daq.contended_results(),
-            qpu_makespan_ns: self.qpu.makespan_ns(),
-            measurements: &self.measurements,
-        }
-    }
-
     /// The event-driven run loop on the lowered core —
-    /// [`StepMode::EventDriven`]'s whole-shot entry point.
+    /// [`StepMode::EventDriven`]'s whole-shot loop.
     ///
     /// Behaviourally this is [`run_loop`](ShotCore::run_loop), the
     /// cycle-stepped oracle, bit for bit: the same stop conditions and
@@ -655,14 +659,11 @@ impl ShotCore<FastProcessor> {
     /// The differential suites (`step_mode_equivalence`,
     /// `proptest_step_modes`) hold this loop bit-identical to the
     /// cycle-stepped oracle.
-    pub(crate) fn run_fast(mut self, max_cycles: u64) -> RunReport {
-        let stop = self.run_fast_loop(max_cycles);
-        self.into_report(stop)
-    }
-
-    /// The borrowed body of [`run_fast`]: runs the shot to its stop
-    /// reason without consuming the core, so a reusable arena
-    /// ([`LoweredShotRunner`]) can run many shots through one allocation.
+    ///
+    /// Like [`run_loop`](ShotCore::run_loop) it borrows the core and
+    /// returns the stop reason, so a worker's arena core
+    /// ([`WorkerScratch`](crate::WorkerScratch)) runs many shots through
+    /// one allocation.
     pub(crate) fn run_fast_loop(&mut self, max_cycles: u64) -> StopReason {
         fn merge(h: &mut Option<u64>, at: u64) {
             *h = Some(h.map_or(at, |x| x.min(at)));
@@ -945,104 +946,6 @@ impl ShotCore<FastProcessor> {
     }
 }
 
-/// The borrowed result view of one arena shot (see
-/// [`LoweredShotRunner`]): every counter a batch digest needs, plus the
-/// measurement records in issue order, without the owned vectors of a
-/// [`RunReport`]. The numbers are bit-identical to the corresponding
-/// fields of the report a fresh [`Shot`] run would produce.
-#[derive(Debug)]
-pub struct ShotOutcome<'a> {
-    /// Total cycles simulated.
-    pub cycles: u64,
-    /// Program time in nanoseconds (cycles × clock period).
-    pub ns: u64,
-    /// Why the shot stopped.
-    pub stop: StopReason,
-    /// Quantum operations issued (counted at the backend).
-    pub issued_ops: u64,
-    /// Operations that reached their timing queue after their deadline.
-    pub late_issues: u64,
-    /// Total lateness across late issues, in cycles.
-    pub late_cycles: u64,
-    /// Timing violations detected by the QPU occupancy model.
-    pub violations: u64,
-    /// Occupancy conflicts detected at the AWG bank.
-    pub awg_violations: u64,
-    /// Results delayed by DAQ demod contention.
-    pub daq_contended: u64,
-    /// When the QPU finished its last operation.
-    pub qpu_makespan_ns: u64,
-    /// Measurement outcomes in issue order.
-    pub measurements: &'a [MeasurementRecord],
-}
-
-impl ShotOutcome<'_> {
-    /// End-to-end execution time: program time or QPU drain, whichever
-    /// is later (the [`RunReport::execution_time_ns`] twin).
-    pub fn execution_time_ns(&self) -> u64 {
-        self.ns.max(self.qpu_makespan_ns)
-    }
-}
-
-/// A reusable [`StepMode::EventDriven`] shot arena.
-///
-/// [`CompiledJob::shot`] rebuilds the whole per-shot state — processors,
-/// scheduler table, device queues, event sinks, measurement log — on the
-/// heap for every shot. In a batch engine that cost is pure churn: the
-/// shapes are identical from shot to shot because they derive from the
-/// job, not from the outcomes. A worker thread keeps one
-/// `LoweredShotRunner` instead and pumps shots through it; the first
-/// shot builds the state, every later one resets it **in place**
-/// (buffers cleared, tables refilled, counters zeroed) so the
-/// steady-state per-shot allocation count does not depend on the
-/// program — only the backend construction and the caller's digest
-/// remain (see the `engine_heap` integration test, which pins this with
-/// a counting allocator).
-///
-/// Reset fidelity is load-bearing and differential-tested: a reused
-/// runner's outcomes are bit-identical to fresh
-/// [`Shot`]-per-shot runs, and [`ShotEngine`](crate::ShotEngine)
-/// aggregates stay bit-identical to the [`StepMode::Cycle`] oracle.
-pub struct LoweredShotRunner {
-    job: CompiledJob,
-    core: Option<ShotCore<FastProcessor>>,
-}
-
-impl LoweredShotRunner {
-    /// Creates an empty runner for `job` (the arena is built lazily by
-    /// the first [`run_shot`](LoweredShotRunner::run_shot)).
-    pub fn new(job: CompiledJob) -> Self {
-        LoweredShotRunner { job, core: None }
-    }
-
-    /// The job this runner executes.
-    pub fn job(&self) -> &CompiledJob {
-        &self.job
-    }
-
-    /// Runs one lean shot on the arena, driving `qpu` and seeding the
-    /// machine PRNG with `rng_seed`, and returns the borrowed outcome
-    /// digest. Equivalent to
-    /// `job.shot(qpu, rng_seed).report_mode(ReportMode::Lean)
-    /// .run_with_mode(StepMode::EventDriven, max_cycles)` reduced to its
-    /// summary counters.
-    pub fn run_shot(
-        &mut self,
-        qpu: Box<dyn QpuBackend>,
-        rng_seed: u64,
-        max_cycles: u64,
-    ) -> ShotOutcome<'_> {
-        match &mut self.core {
-            Some(core) => core.reset_for_shot(qpu, rng_seed),
-            slot @ None => *slot = Some(self.job.fast_core(qpu, rng_seed)),
-        }
-        let core = self.core.as_mut().expect("core just ensured");
-        core.set_report_mode(ReportMode::Lean);
-        let stop = core.run_fast_loop(max_cycles);
-        core.finish_outcome(stop)
-    }
-}
-
 /// The per-shot machine state of one execution. Built from a
 /// [`CompiledJob`]; stepped at clock-cycle granularity.
 ///
@@ -1062,14 +965,6 @@ impl Shot {
     /// The job this shot executes.
     pub fn job(&self) -> &CompiledJob {
         &self.core.job
-    }
-
-    /// Selects how much of the run the report materialises (see
-    /// [`ReportMode`]). Call before stepping: events recorded while the
-    /// previous mode was in force are kept as-is.
-    pub fn report_mode(mut self, mode: ReportMode) -> Self {
-        self.core.set_report_mode(mode);
-        self
     }
 
     /// Advances the machine by one clock cycle.
@@ -1097,9 +992,13 @@ impl Shot {
         // mid-run, so it finishes cycle-stepped instead (the report is
         // identical either way).
         if mode == StepMode::EventDriven && self.core.cycle == 0 {
-            self.into_fast().run_fast(max_cycles)
+            let mut core = self.into_fast();
+            let stop = core.run_fast_loop(max_cycles);
+            core.into_report(stop)
         } else {
-            self.core.run_loop(max_cycles)
+            let mut core = self.core;
+            let stop = core.run_loop(max_cycles);
+            core.into_report(stop)
         }
     }
 
@@ -1120,43 +1019,15 @@ impl Shot {
         self.core.qpu.busy_until(qubit)
     }
 
-    /// Converts an un-stepped reference core into the lowered core,
-    /// carrying over the QPU, PRNG, and report-mode state. The rebuilt
-    /// scheduler re-records exactly the initial-load block events the
-    /// discarded one held, so reports stay bit-identical.
+    /// Moves an un-stepped shot onto the lowered core. Only the QPU and
+    /// the PRNG carry over: at cycle 0 every other field is still as
+    /// `CompiledJob::core` built it, so the lowered core is built fresh
+    /// by the same constructor (its scheduler records the same
+    /// initial-load block events) and reports stay bit-identical.
     fn into_fast(self) -> ShotCore<FastProcessor> {
         debug_assert_eq!(self.core.cycle, 0, "fast conversion requires a fresh shot");
-        let core = self.core;
-        let job = core.job;
-        let lowered = job.lowered.clone();
-        let n = job.cfg.num_processors;
-        let mut processors: Vec<FastProcessor> = (0..n)
-            .map(|i| FastProcessor::new(i, lowered.clone(), job.cfg.icache_banks))
-            .collect();
-        let mut scheduler = Scheduler::new(&job.program, job.cfg.dependency_mode);
-        scheduler.initial_load(&mut processors, &*lowered, n);
-        ShotCore {
-            job,
-            code: lowered,
-            processors,
-            scheduler,
-            mrr: core.mrr,
-            daq: core.daq,
-            awg: core.awg,
-            qpu: core.qpu,
-            rng: core.rng,
-            shared_regs: core.shared_regs,
-            cycle: 0,
-            halt: core.halt,
-            error: core.error,
-            stats: core.stats,
-            step_dispatches: core.step_dispatches,
-            wait_cycles: core.wait_cycles,
-            late_issues: core.late_issues,
-            late_cycles: core.late_cycles,
-            measurements: core.measurements,
-            skip_scratch: core.skip_scratch,
-        }
+        let ShotCore { job, qpu, rng, .. } = self.core;
+        job.fast_core(qpu, rng, false)
     }
 }
 
@@ -1240,6 +1111,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quape_isa::{ClassicalOp, Cond, CondOp, Gate1, ProgramBuilder, QuantumOp, Qubit};
     use quape_qpu::{BehavioralQpu, MeasurementModel};
 
     fn coin(cfg: &QuapeConfig, seed: u64) -> Box<dyn QpuBackend> {
@@ -1366,5 +1238,263 @@ mod tests {
         assert_eq!(first.cycles, second.cycles);
         assert_eq!(first.measurements, second.measurements);
         assert_eq!(first.issued.len(), 3);
+    }
+
+    /// A DAQ-wait-bound feedback chain: measure, block on the result
+    /// (FMR), then fire a conditional X — the workload whose wait-cycle
+    /// trace is by far the largest report vector.
+    fn feedback_program(rounds: usize) -> Program {
+        let mut b = ProgramBuilder::new();
+        for r in 0..rounds {
+            let q = (r % 2) as u16;
+            b.quantum(2, QuantumOp::Measure(Qubit::new(q)));
+            b.fmr(0, q);
+            b.cmpi(0, 1);
+            let skip = format!("skip{r}");
+            b.br_to(Cond::Ne, &skip);
+            b.quantum(0, QuantumOp::Gate1(Gate1::X, Qubit::new(q)));
+            b.label(&skip);
+        }
+        b.push(ClassicalOp::Stop);
+        b.finish().expect("valid feedback program")
+    }
+
+    /// A dense pulse program: parallel single-qubit gates keep the AWG
+    /// playback timeline busy.
+    fn pulse_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        for _ in 0..40 {
+            for q in 0..4u16 {
+                b.quantum(2, QuantumOp::Gate1(Gate1::X, Qubit::new(q)));
+            }
+        }
+        for q in 0..4u16 {
+            b.quantum(2, QuantumOp::Measure(Qubit::new(q)));
+        }
+        b.push(ClassicalOp::Stop);
+        b.finish().expect("valid pulse program")
+    }
+
+    /// Two priority blocks the scheduler spreads over the processors,
+    /// each with its own MRCE feedback round.
+    fn two_block_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        for (name, q) in [("left", 0u16), ("right", 1u16)] {
+            b.begin_block(name, Dependency::Priority(0));
+            b.quantum(0, QuantumOp::Gate1(Gate1::H, Qubit::new(q)));
+            b.quantum(2, QuantumOp::Measure(Qubit::new(q)));
+            b.push(ClassicalOp::Mrce {
+                qubit: Qubit::new(q),
+                target: Qubit::new(q),
+                op_if_one: CondOp::X,
+                op_if_zero: CondOp::None,
+            });
+            b.push(ClassicalOp::Stop);
+            b.end_block();
+        }
+        b.finish().expect("valid two-block program")
+    }
+
+    fn lean_cases() -> Vec<(&'static str, QuapeConfig, Program)> {
+        vec![
+            (
+                "feedback",
+                QuapeConfig::uniprocessor(),
+                feedback_program(30),
+            ),
+            ("pulse", QuapeConfig::superscalar(4), pulse_program()),
+            // Shared readout lines with one demod server each: AWG
+            // channel overlaps and DAQ demod contention both fire.
+            (
+                "pulse_mux",
+                QuapeConfig::superscalar(8)
+                    .with_readout_lines(2)
+                    .with_demod_slots(1),
+                pulse_program(),
+            ),
+            (
+                "two_blocks",
+                QuapeConfig::superscalar(4),
+                two_block_program(),
+            ),
+            // Eight same-time gates on a scalar pipeline issue late, and
+            // the back-to-back pair on q0 violates the QPU timing model.
+            (
+                "late_and_violating",
+                QuapeConfig::scalar_baseline(),
+                quape_isa::assemble(
+                    "0 H q0\n0 H q1\n0 H q2\n0 H q3\n0 H q4\n0 H q5\n0 H q6\n0 H q7\n\
+                     0 X q0\n0 MEAS q0\nSTOP\n",
+                )
+                .expect("valid program"),
+            ),
+            // The program stops while its last gate is still playing, so
+            // the QPU drain sets the execution time.
+            (
+                "qpu_drain",
+                QuapeConfig::superscalar(4),
+                quape_isa::assemble("0 MEAS q0\n100 CNOT q1, q2\nSTOP\n").expect("valid program"),
+            ),
+        ]
+    }
+
+    /// A lean core's summary and whole report, on the core `step`
+    /// selects.
+    fn lean_run(job: &CompiledJob, step: StepMode, seed: u64) -> (ShotSummary, RunReport) {
+        let qpu = coin(job.cfg(), seed);
+        let rng = SmallRng::seed_from_u64(seed);
+        match step {
+            StepMode::Cycle => {
+                let mut core = job.reference_core(qpu, rng, true);
+                let stop = core.run_loop(2_000_000);
+                (core.summary(0, seed, stop), core.into_report(stop))
+            }
+            StepMode::EventDriven => {
+                let mut core = job.fast_core(qpu, rng, true);
+                let stop = core.run_fast_loop(2_000_000);
+                (core.summary(0, seed, stop), core.into_report(stop))
+            }
+        }
+    }
+
+    /// Lean cores (every engine shot) must be bit-identical to full
+    /// `Shot` runs in everything except the materialised event vectors:
+    /// same cycles, stats, measurements, violations and block events,
+    /// with `wait_cycles`/`issued`/`playback`/`step_dispatches` left
+    /// empty and their counters standing in for them. The shared
+    /// `summary` fold must read exactly what the full report says.
+    #[test]
+    fn lean_cores_match_full_reports_except_vectors() {
+        // QPU violations, AWG violations, DAQ contention, late issues,
+        // QPU drain past the program's end.
+        let mut fired = [0u64; 5];
+        for (label, cfg, program) in lean_cases() {
+            let job = CompiledJob::compile(cfg, program).expect("job compiles");
+            for step in [StepMode::Cycle, StepMode::EventDriven] {
+                let full = job
+                    .shot(coin(job.cfg(), 11), 11)
+                    .run_with_mode(step, 2_000_000);
+                let (summary, lean) = lean_run(&job, step, 11);
+                assert!(full.issued_ops > 0, "{label}: trivial run");
+                assert!(
+                    !full.wait_cycles.is_empty() || label != "feedback",
+                    "{label}: expected measure waits"
+                );
+                assert_eq!(full.cycles, lean.cycles, "{label}: cycles");
+                assert_eq!(full.ns, lean.ns, "{label}: ns");
+                assert_eq!(full.stop, lean.stop, "{label}: stop");
+                assert_eq!(full.stats, lean.stats, "{label}: stats");
+                assert_eq!(full.issued_ops, lean.issued_ops, "{label}: issued_ops");
+                assert_eq!(full.measurements, lean.measurements, "{label}: outcomes");
+                assert_eq!(full.violations, lean.violations, "{label}: violations");
+                assert_eq!(
+                    full.awg_violations, lean.awg_violations,
+                    "{label}: awg_violations"
+                );
+                assert_eq!(full.block_events, lean.block_events, "{label}: blocks");
+                assert_eq!(
+                    full.qpu_makespan_ns, lean.qpu_makespan_ns,
+                    "{label}: makespan"
+                );
+                assert!(lean.issued.is_empty(), "{label}: lean issued materialised");
+                assert!(
+                    lean.playback.is_empty(),
+                    "{label}: lean playback materialised"
+                );
+                assert!(
+                    lean.wait_cycles.is_empty(),
+                    "{label}: lean wait_cycles materialised"
+                );
+                assert!(
+                    lean.step_dispatches.is_empty(),
+                    "{label}: lean step_dispatches materialised"
+                );
+                // The counters really do stand in for the vectors.
+                assert_eq!(
+                    full.step_dispatches.len() as u64,
+                    lean.stats.total_quantum(),
+                    "{label}: dispatch count"
+                );
+                assert_eq!(full.issued.len() as u64, lean.issued_ops, "{label}: count");
+                assert_eq!(
+                    full.playback.len() as u64,
+                    lean.stats.awg_triggers,
+                    "{label}: triggers"
+                );
+                // The one summary fold reads exactly what the full report
+                // says.
+                assert_eq!(summary.cycles, full.cycles, "{label}: summary cycles");
+                assert_eq!(
+                    summary.execution_time_ns,
+                    full.execution_time_ns(),
+                    "{label}: summary execution time"
+                );
+                assert_eq!(summary.stop, full.stop, "{label}: summary stop");
+                assert_eq!(
+                    summary.issued,
+                    full.issued.len() as u64,
+                    "{label}: summary issued"
+                );
+                assert_eq!(
+                    (summary.late_issues, summary.late_cycles),
+                    (full.stats.late_issues, full.stats.late_cycles),
+                    "{label}: summary lateness"
+                );
+                assert_eq!(
+                    (summary.violations, summary.awg_violations),
+                    (
+                        full.violations.len() as u64,
+                        full.awg_violations.len() as u64
+                    ),
+                    "{label}: summary violations"
+                );
+                assert_eq!(
+                    summary.daq_contended, full.stats.daq_contended_results,
+                    "{label}: summary DAQ contention"
+                );
+                assert_eq!(
+                    summary.per_qubit,
+                    digest_measurements(job.num_qubits(), &full.measurements),
+                    "{label}: summary outcomes"
+                );
+                fired[0] += summary.violations;
+                fired[1] += summary.awg_violations;
+                fired[2] += summary.daq_contended;
+                fired[3] += summary.late_issues;
+                fired[4] += u64::from(full.qpu_makespan_ns > full.ns);
+            }
+        }
+        assert!(
+            fired.iter().all(|&n| n > 0),
+            "every summary counter must fire somewhere: {fired:?}"
+        );
+    }
+
+    /// A reset arena core replays exactly the measurement records (time,
+    /// qubit, value, in issue order) of a fresh full `Shot`, shot after
+    /// shot — finer than the per-qubit digest a summary keeps.
+    #[test]
+    fn reset_arena_core_replays_fresh_measurement_records() {
+        for (label, cfg, program) in lean_cases() {
+            let job = CompiledJob::compile(cfg, program).expect("job compiles");
+            let mut arena = job.fast_core(coin(job.cfg(), 0), SmallRng::seed_from_u64(0), true);
+            for seed in 0..12u64 {
+                arena.reset_for_shot(coin(job.cfg(), seed), SmallRng::seed_from_u64(seed));
+                let stop = arena.run_fast_loop(2_000_000);
+                let fresh = job
+                    .shot(coin(job.cfg(), seed), seed)
+                    .run_with_mode(StepMode::Cycle, 2_000_000);
+                assert_eq!(stop, fresh.stop, "{label}/{seed}: stop");
+                assert_eq!(arena.cycle, fresh.cycles, "{label}/{seed}: cycles");
+                assert!(
+                    !fresh.measurements.is_empty(),
+                    "{label}/{seed}: no outcomes"
+                );
+                assert_eq!(
+                    arena.measurements, fresh.measurements,
+                    "{label}/{seed}: measurements"
+                );
+            }
+        }
     }
 }

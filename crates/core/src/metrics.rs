@@ -96,15 +96,15 @@ impl fmt::Display for CesReport {
 /// *i−1* and of step *i* (for the first step: from the first dispatch of
 /// the program), minus any measurement-wait cycles inside that span.
 ///
-/// Requires a [`ReportMode::Full`](crate::ReportMode) report: the
-/// analysis reads the per-event `step_dispatches` and `wait_cycles`
-/// vectors, which lean (summary-only) reports leave empty — a lean
-/// report would silently yield an empty CES table here, so it is
-/// rejected by a debug assertion instead.
+/// Requires a [`Shot`](crate::Shot)/[`Machine`](crate::Machine) report:
+/// the analysis reads the per-event `step_dispatches` and `wait_cycles`
+/// vectors, which lean engine shots never record — a report without
+/// them would silently yield an empty CES table here, so it is rejected
+/// by a debug assertion instead.
 pub fn ces_report(report: &RunReport, clock_ns: u64, gate_ns: u64) -> CesReport {
     debug_assert!(
         !report.step_dispatches.is_empty() || report.stats.total_quantum() == 0,
-        "ces_report needs a ReportMode::Full report (lean runs elide step_dispatches)"
+        "ces_report needs a report with step_dispatches (a Shot/Machine run)"
     );
     let mut last_dispatch: BTreeMap<StepId, u64> = BTreeMap::new();
     let mut counts: BTreeMap<StepId, usize> = BTreeMap::new();

@@ -144,10 +144,10 @@ pub struct RunReport {
     pub ns: u64,
     /// Why the run stopped.
     pub stop: StopReason,
-    /// Every quantum operation issued to the QPU, time-stamped. Left
-    /// empty in [`ReportMode::Lean`](crate::ReportMode) runs — use
-    /// [`issued_ops`](RunReport::issued_ops) for the count, which is
-    /// exact in both modes.
+    /// Every quantum operation issued to the QPU, time-stamped. Lean
+    /// engine shots never materialise it; their
+    /// [`ShotSummary`](crate::ShotSummary) reads the
+    /// [`issued_ops`](RunReport::issued_ops) count instead.
     pub issued: Vec<IssuedOp>,
     /// Number of quantum operations issued (counted at the backend, so
     /// it is exact even when `issued` is not materialised).
@@ -156,24 +156,22 @@ pub struct RunReport {
     pub violations: Vec<TimingViolation>,
     /// The AWG bank's recorded playback timeline: every waveform trigger
     /// with the extent it occupied its channel (what
-    /// [`crate::render_timeline`] streams from). Left empty in
-    /// [`ReportMode::Lean`](crate::ReportMode) runs — `stats.awg_triggers`
-    /// holds the exact count in both modes.
+    /// [`crate::render_timeline`] streams from). Lean engine shots never
+    /// materialise it; `stats.awg_triggers` holds the exact count.
     pub playback: Vec<PlaybackEvent>,
     /// Occupancy conflicts detected at the AWG bank (channel overlaps on
     /// shared lines, plus the device-side twin of the QPU qubit model).
     pub awg_violations: Vec<AwgViolation>,
     /// Counters.
     pub stats: MachineStats,
-    /// Quantum-instruction dispatch records for CES/TR metering. Left
-    /// empty in [`ReportMode::Lean`](crate::ReportMode) runs —
-    /// `stats.processors[i].dispatched_quantum` stays exact.
+    /// Quantum-instruction dispatch records for CES/TR metering. Lean
+    /// engine shots never materialise them;
+    /// `stats.processors[i].dispatched_quantum` holds the exact count.
     pub step_dispatches: Vec<StepDispatch>,
     /// Cycles during which a processor was blocked waiting on a
-    /// measurement result (one entry per processor-cycle). Left empty in
-    /// [`ReportMode::Lean`](crate::ReportMode) runs —
-    /// `stats.processors[i].measure_wait_cycles` stays exact in both
-    /// modes.
+    /// measurement result (one entry per processor-cycle). Lean engine
+    /// shots never materialise it;
+    /// `stats.processors[i].measure_wait_cycles` holds the exact count.
     pub wait_cycles: Vec<u64>,
     /// Measurement outcomes in issue order.
     pub measurements: Vec<crate::machine::MeasurementRecord>,
@@ -190,7 +188,7 @@ impl RunReport {
         self.ns.max(self.qpu_makespan_ns)
     }
 
-    /// Number of quantum operations issued (exact in both report modes).
+    /// Number of quantum operations issued (counted at the backend).
     pub fn issued_count(&self) -> usize {
         self.issued_ops as usize
     }

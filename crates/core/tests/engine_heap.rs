@@ -1,5 +1,5 @@
 //! Pins the engine's worker-scratch contract: with a reused
-//! [`WorkerScratch`], a default engine (event-driven, lean reports)
+//! [`WorkerScratch`], a default engine (event-driven, lean shots)
 //! reaches an allocation fixed point — steady-state shots do not grow
 //! the heap, and the per-shot allocation count is a small constant
 //! (backend construction plus the returned digest), independent of

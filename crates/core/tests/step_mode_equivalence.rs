@@ -9,8 +9,7 @@
 //! bit-identical [`BatchAggregate`]s.
 
 use quape_core::{
-    BatchAggregate, CompiledJob, LoweredShotRunner, QuapeConfig, ReportMode, RunReport, Shot,
-    ShotEngine, StepMode,
+    BatchAggregate, CompiledJob, QuapeConfig, RunReport, Shot, ShotEngine, StepMode, WorkerScratch,
 };
 use quape_isa::{
     ClassicalOp, Cond, CondOp, Dependency, Gate1, Program, ProgramBuilder, QuantumOp, Qubit, Reg,
@@ -105,7 +104,7 @@ fn shot(job: &CompiledJob, seed: u64) -> Shot {
         MeasurementModel::Bernoulli { p_one: 0.5 },
         seed,
     );
-    job.shot(Box::new(qpu), seed).report_mode(ReportMode::Full)
+    job.shot(Box::new(qpu), seed)
 }
 
 fn run(job: &CompiledJob, mode: StepMode, seed: u64) -> RunReport {
@@ -181,67 +180,37 @@ fn engine_batches_are_identical_across_step_modes() {
 }
 
 /// The arena reset must be indistinguishable from fresh construction:
-/// pumping shots through one reused [`LoweredShotRunner`] yields the
-/// same outcome, shot for shot, as building a fresh lean event-driven
-/// [`Shot`] per seed — across every workload,
+/// pumping shots through one reused [`WorkerScratch`] yields the same
+/// summary, shot for shot, as a fresh `run_shot` and as the
+/// [`StepMode::Cycle`] engine — across every workload and both configs,
 /// including multi-block scheduling where the reset has to rewind the
-/// scheduler table and the icache banks.
+/// scheduler table and the icache banks. The one scratch also moves
+/// between jobs, so it rebuilds its core on every job change. (The exact
+/// measurement records of a reused core are compared in core's unit
+/// tests.)
 #[test]
 fn reused_runner_matches_fresh_shots() {
+    let mut scratch = WorkerScratch::new();
     for (label, program) in workloads() {
         for cfg in [QuapeConfig::uniprocessor(), QuapeConfig::superscalar(4)] {
-            let job = CompiledJob::compile(cfg, program.clone()).expect("job compiles");
-            let mut runner = LoweredShotRunner::new(job.clone());
-            for seed in 0..12u64 {
-                let qpu = || {
-                    Box::new(BehavioralQpu::new(
-                        job.cfg().timings,
-                        MeasurementModel::Bernoulli { p_one: 0.5 },
-                        seed,
-                    ))
-                };
-                let fresh = job
-                    .shot(qpu(), seed)
-                    .report_mode(ReportMode::Lean)
-                    .run_with_mode(StepMode::EventDriven, 2_000_000);
-                let reused = runner.run_shot(qpu(), seed, 2_000_000);
-                assert_eq!(fresh.cycles, reused.cycles, "{label}/{seed}: cycles");
-                assert_eq!(fresh.stop, reused.stop, "{label}/{seed}: stop");
+            let job = CompiledJob::compile(cfg.clone(), program.clone()).expect("job compiles");
+            let factory =
+                BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
+            let engine = ShotEngine::new(job.clone(), factory.clone())
+                .base_seed(5)
+                .cycle_limit(2_000_000);
+            let oracle = ShotEngine::new(job, factory)
+                .base_seed(5)
+                .cycle_limit(2_000_000)
+                .step_mode(StepMode::Cycle);
+            for shot in 0..12u64 {
+                let reused = engine.run_shot_reusing(shot, &mut scratch);
+                assert!(reused.issued > 0, "{label}/{shot}: trivial shot");
+                assert_eq!(reused, engine.run_shot(shot), "{label}/{shot}: fresh");
                 assert_eq!(
-                    fresh.issued_ops, reused.issued_ops,
-                    "{label}/{seed}: issued"
-                );
-                assert_eq!(
-                    fresh.execution_time_ns(),
-                    reused.execution_time_ns(),
-                    "{label}/{seed}: execution time"
-                );
-                assert_eq!(
-                    fresh.stats.late_issues, reused.late_issues,
-                    "{label}/{seed}: late issues"
-                );
-                assert_eq!(
-                    fresh.stats.late_cycles, reused.late_cycles,
-                    "{label}/{seed}: late cycles"
-                );
-                assert_eq!(
-                    fresh.violations.len() as u64,
-                    reused.violations,
-                    "{label}/{seed}: violations"
-                );
-                assert_eq!(
-                    fresh.awg_violations.len() as u64,
-                    reused.awg_violations,
-                    "{label}/{seed}: awg violations"
-                );
-                assert_eq!(
-                    fresh.stats.daq_contended_results, reused.daq_contended,
-                    "{label}/{seed}: daq contention"
-                );
-                assert_eq!(
-                    fresh.measurements,
-                    reused.measurements.to_vec(),
-                    "{label}/{seed}: measurements"
+                    reused,
+                    oracle.run_shot(shot),
+                    "{label}/{shot}: cycle oracle"
                 );
             }
         }

@@ -8,11 +8,13 @@
 //! shots, grabs a **quantum** of `shot_quantum × priority weight`
 //! consecutive shot indices, advances the round-robin cursor, and
 //! executes the quantum outside the lock via
-//! [`ShotEngine::run_shot`](quape_core::ShotEngine::run_shot). The
-//! cursor guarantees progress for every job on every rotation — a
-//! million-shot job gets exactly one quantum per turn, the same as a
-//! hundred-shot job — while the weight lets high-priority tenants drain
-//! faster without ever starving the rest.
+//! [`ShotEngine::run_shot_reusing`](quape_core::ShotEngine::run_shot_reusing)
+//! on the worker's own [`WorkerScratch`](quape_core::WorkerScratch),
+//! which each worker keeps across claims (and replaces only after a
+//! panicking quantum). The cursor guarantees progress for every job on
+//! every rotation — a million-shot job gets exactly one quantum per
+//! turn, the same as a hundred-shot job — while the weight lets
+//! high-priority tenants drain faster without ever starving the rest.
 //!
 //! ## Two serving modes
 //!
@@ -1426,11 +1428,10 @@ impl JobServer {
     /// panics from user-supplied factories/backends per member: a
     /// panicking range fails its member (cancelled, prefix-consistent
     /// partial) without touching the other members of the batch or
-    /// hanging the drain. One [`WorkerScratch`] spans the whole claim,
-    /// so members compiled from the same program share a prepared
-    /// lowered runner.
-    fn execute_claim(&self, worker: u32, claim: Claim) {
-        let mut scratch = WorkerScratch::default();
+    /// hanging the drain. The claim runs on the worker's own
+    /// [`WorkerScratch`], so consecutive quanta of one program — across
+    /// members and claims — reuse one prepared lowered core.
+    fn execute_claim(&self, worker: u32, claim: Claim, scratch: &mut WorkerScratch) {
         let mut batches = Vec::with_capacity(claim.units.len());
         for unit in claim.units {
             let shots = unit.range.end - unit.range.start;
@@ -1438,7 +1439,7 @@ impl JobServer {
             let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 unit.range
                     .clone()
-                    .map(|s| unit.engine.run_shot_reusing(s, &mut scratch))
+                    .map(|s| unit.engine.run_shot_reusing(s, scratch))
                     .collect::<Vec<ShotSummary>>()
             }));
             match batch {
@@ -1459,7 +1460,7 @@ impl JobServer {
                 Err(_) => {
                     // The scratch may hold arbitrary mid-shot state
                     // after an unwind; start the next member fresh.
-                    scratch = WorkerScratch::default();
+                    *scratch = WorkerScratch::new();
                     self.fail_member(claim.entry, unit.member, shots);
                 }
             }
@@ -1558,6 +1559,7 @@ impl JobServer {
     fn try_batch_then_claim<'a>(
         &self,
         worker: u32,
+        scratch: &mut WorkerScratch,
         mut guard: MutexGuard<'a, SchedState>,
     ) -> Result<(), MutexGuard<'a, SchedState>> {
         self.form_batch(worker, &mut guard);
@@ -1568,15 +1570,17 @@ impl JobServer {
         // The claim-path reap finalizes under the lock; surface those
         // completions before (and after) the quantum runs.
         self.flush_finish_hooks();
-        self.execute_claim(worker, claim);
+        self.execute_claim(worker, claim, scratch);
         Ok(())
     }
 
     /// Batch worker: claim until the queue has nothing claimable, then
-    /// exit (the [`run`](JobServer::run) drain).
+    /// exit (the [`run`](JobServer::run) drain). The worker keeps one
+    /// [`WorkerScratch`] across all its claims.
     fn worker_loop(&self, worker: u32) {
+        let mut scratch = WorkerScratch::new();
         loop {
-            match self.try_batch_then_claim(worker, self.lock_state()) {
+            match self.try_batch_then_claim(worker, &mut scratch, self.lock_state()) {
                 Ok(()) => {}
                 Err(guard) => {
                     drop(guard);
@@ -1589,11 +1593,13 @@ impl JobServer {
     }
 
     /// Streaming worker: park on the condvar when idle; exit on
-    /// shutdown, or when draining finds the queue empty.
+    /// shutdown, or when draining finds the queue empty. The worker keeps
+    /// one [`WorkerScratch`] across all its claims.
     fn serving_loop(&self, worker: u32) {
+        let mut scratch = WorkerScratch::new();
         let mut st = self.lock_state();
         loop {
-            match self.try_batch_then_claim(worker, st) {
+            match self.try_batch_then_claim(worker, &mut scratch, st) {
                 Ok(()) => {
                     st = self.lock_state();
                     continue;

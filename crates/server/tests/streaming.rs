@@ -3,7 +3,8 @@
 //! and the `drain()` vs `shutdown()` semantics.
 
 use quape_core::{CompiledJob, QpuBackend, QpuFactory, QuapeConfig, ShotEngine};
-use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
+use quape_isa::{QuantumOp, Qubit};
+use quape_qpu::{BehavioralQpuFactory, IssuedOp, MeasurementModel, TimingViolation};
 use quape_server::{JobError, JobRequest, JobServer, JobSource, ServerConfig};
 use quape_workloads::feedback::{conditional_x, feedback_chain};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -287,6 +288,129 @@ fn panicking_quantum_fails_the_job_not_the_server() {
     // The pool survived: drain returns both results without hanging.
     let results = serving.drain().unwrap();
     assert_eq!(results.len(), 2);
+}
+
+/// A backend that panics on its third `apply` — inside the shot, after
+/// the worker's arena core has been reset for it.
+struct MidShotPanicQpu {
+    inner: Box<dyn QpuBackend>,
+    applies: u64,
+}
+
+impl QpuBackend for MidShotPanicQpu {
+    fn apply(&mut self, time_ns: u64, op: QuantumOp) -> Option<bool> {
+        self.applies += 1;
+        if self.applies == 3 {
+            panic!("injected mid-shot QPU failure");
+        }
+        self.inner.apply(time_ns, op)
+    }
+
+    fn log(&self) -> &[IssuedOp] {
+        self.inner.log()
+    }
+
+    fn violations(&self) -> &[TimingViolation] {
+        self.inner.violations()
+    }
+
+    fn take_results(&mut self) -> (Vec<IssuedOp>, Vec<TimingViolation>) {
+        self.inner.take_results()
+    }
+
+    fn set_lean(&mut self, lean: bool) {
+        self.inner.set_lean(lean);
+    }
+
+    fn issued_count(&self) -> u64 {
+        self.inner.issued_count()
+    }
+
+    fn busy_until(&self, qubit: Qubit) -> u64 {
+        self.inner.busy_until(qubit)
+    }
+
+    fn makespan_ns(&self) -> u64 {
+        self.inner.makespan_ns()
+    }
+}
+
+/// Builds healthy backends for the first `allow` shots, then
+/// [`MidShotPanicQpu`]s.
+struct MidShotPanicFactory {
+    calls: AtomicU64,
+    allow: u64,
+    inner: BehavioralQpuFactory,
+}
+
+impl QpuFactory for MidShotPanicFactory {
+    fn create(&self, seed: u64) -> Box<dyn QpuBackend> {
+        let inner = QpuFactory::create(&self.inner, seed);
+        if self.calls.fetch_add(1, Ordering::SeqCst) < self.allow {
+            return inner;
+        }
+        Box::new(MidShotPanicQpu { inner, applies: 0 })
+    }
+}
+
+/// A backend panicking inside `apply` unwinds out of a half-run shot on
+/// the worker's arena. On a one-worker server that fails only its own
+/// job (prefix-consistent partial), and jobs of the same program —
+/// one interleaved with it, one submitted after it failed, both on the
+/// same worker — still match their solo aggregates.
+#[test]
+fn mid_shot_panic_fails_only_its_job_and_the_worker_recovers() {
+    let serving = JobServer::serve(ServerConfig {
+        threads: 1,
+        shot_quantum: 4, // × Normal weight 2 ⇒ 8-shot quanta
+        cache_capacity: 8,
+        machine: None,
+        obs: Default::default(),
+        packer: false,
+    });
+    let c = cfg();
+    let program = || JobSource::Program(feedback_chain(0, 4).unwrap());
+    let solo = |shots: u64, seed: u64| {
+        let job = CompiledJob::compile(c.clone(), feedback_chain(0, 4).unwrap()).unwrap();
+        ShotEngine::new(job, coin(&c))
+            .base_seed(seed)
+            .threads(1)
+            .run(shots)
+            .aggregate
+    };
+    let doomed = JobRequest::new(
+        "doomed",
+        program(),
+        c.clone(),
+        MidShotPanicFactory {
+            calls: AtomicU64::new(0),
+            allow: 8, // the first quantum lands, the second panics mid-shot
+            inner: coin(&c),
+        },
+        64,
+    )
+    .base_seed(31);
+    let doomed = serving.submit(doomed).unwrap();
+    let interleaved = serving
+        .submit(JobRequest::new("interleaved", program(), c.clone(), coin(&c), 24).base_seed(32))
+        .unwrap();
+    let doomed_result = doomed.wait();
+    assert!(
+        doomed_result.cancelled,
+        "a panicking shot must fail its job"
+    );
+    assert_eq!(doomed_result.shots, 8, "one full quantum landed");
+    assert_eq!(doomed_result.aggregate, solo(8, 31));
+    let next = serving
+        .submit(JobRequest::new("next", program(), c.clone(), coin(&c), 24).base_seed(33))
+        .unwrap();
+    for (handle, seed) in [(interleaved, 32), (next, 33)] {
+        let result = handle.wait();
+        assert!(!result.cancelled);
+        assert_eq!(result.shots, 24);
+        assert_eq!(result.aggregate, solo(24, seed), "seed {seed}");
+    }
+    assert_eq!(serving.drain().unwrap().len(), 3);
 }
 
 /// Cancelling after completion is a true no-op: neither the result nor
