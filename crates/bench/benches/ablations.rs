@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use quape_compiler::Compiler;
-use quape_core::{Machine, QuapeConfig};
+use quape_core::{CompiledJob, QuapeConfig};
 use quape_qpu::{BehavioralQpu, CliffordGroup, MeasurementModel};
 use quape_workloads::benchmarks::hs16;
 use quape_workloads::rb::active_reset_with_rb;
@@ -14,8 +14,9 @@ use quape_workloads::{ShorSyndrome, ShorSyndromeConfig};
 fn run(cfg: QuapeConfig, program: quape_isa::Program, model: MeasurementModel) -> u64 {
     let seed = cfg.seed;
     let qpu = BehavioralQpu::new(cfg.timings, model, seed);
-    Machine::new(cfg, program, Box::new(qpu))
+    CompiledJob::compile(cfg, program)
         .expect("valid machine")
+        .shot(Box::new(qpu), seed)
         .run_with_limit(2_000_000)
         .execution_time_ns()
 }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use quape_compiler::{partition_two_blocks, Compiler};
-use quape_core::{Machine, QuapeConfig};
+use quape_core::{CompiledJob, QuapeConfig};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 use quape_workloads::benchmarks::ising;
 
@@ -15,13 +15,12 @@ fn bench(c: &mut Criterion) {
     group.bench_function("partition_ising_16", |b| {
         b.iter(|| partition_two_blocks(&compiler, &circuit).expect("partitions"))
     });
+    let job = CompiledJob::compile(QuapeConfig::multiprocessor(2), program).expect("valid machine");
     group.bench_function("run_ising_16_two_core", |b| {
         b.iter_batched(
             || {
-                let cfg = QuapeConfig::multiprocessor(2).with_seed(3);
-                let qpu =
-                    BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 3);
-                Machine::new(cfg, program.clone(), Box::new(qpu)).expect("valid machine")
+                let model = MeasurementModel::Bernoulli { p_one: 0.5 };
+                job.shot(Box::new(BehavioralQpu::new(job.cfg().timings, model, 3)), 3)
             },
             |m| m.run(),
             BatchSize::SmallInput,

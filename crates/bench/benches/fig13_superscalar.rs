@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use quape_compiler::Compiler;
-use quape_core::{ces_report_paper, Machine, QuapeConfig};
+use quape_core::{ces_report_paper, CompiledJob, QuapeConfig};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 use quape_workloads::benchmarks::hs16;
 
@@ -14,16 +14,12 @@ fn bench(c: &mut Criterion) {
         ("scalar_hs16", QuapeConfig::scalar_baseline()),
         ("superscalar8_hs16", QuapeConfig::superscalar(8)),
     ] {
+        let job = CompiledJob::compile(cfg, program.clone()).expect("valid machine");
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let qpu = BehavioralQpu::new(
-                        cfg.timings,
-                        MeasurementModel::Bernoulli { p_one: 0.5 },
-                        5,
-                    );
-                    Machine::new(cfg.clone(), program.clone(), Box::new(qpu))
-                        .expect("valid machine")
+                    let model = MeasurementModel::Bernoulli { p_one: 0.5 };
+                    job.shot(Box::new(BehavioralQpu::new(job.cfg().timings, model, 5)), 0)
                 },
                 |m| {
                     let report = m.run();

@@ -9,7 +9,7 @@
 
 use quape_bench::table::TextTable;
 use quape_compiler::Compiler;
-use quape_core::{ces_report_paper, Machine, QuapeConfig};
+use quape_core::{ces_report_paper, CompiledJob, QuapeConfig};
 use quape_isa::{ClassicalOp, Dependency, Gate1, ProgramBuilder, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpu, CliffordGroup, MeasurementModel};
 use quape_workloads::benchmarks::hs16;
@@ -18,12 +18,13 @@ use quape_workloads::{ShorSyndrome, ShorSyndromeConfig};
 
 fn mean_shor_ns(cfg_base: &QuapeConfig, runs: usize) -> f64 {
     let w = ShorSyndrome::generate(ShorSyndromeConfig::default()).expect("valid workload");
+    let job = CompiledJob::compile(cfg_base.clone(), w.program).expect("valid machine");
     let mut total = 0u64;
-    for i in 0..runs {
-        let cfg = cfg_base.clone().with_seed(i as u64);
-        let qpu = BehavioralQpu::new(cfg.timings, ShorSyndrome::measurement_model(0.25), i as u64);
-        total += Machine::new(cfg, w.program.clone(), Box::new(qpu))
-            .expect("valid machine")
+    for i in 0..runs as u64 {
+        let model = ShorSyndrome::measurement_model(0.25);
+        let qpu = BehavioralQpu::new(cfg_base.timings, model, i);
+        total += job
+            .shot(Box::new(qpu), i)
             .run_with_limit(2_000_000)
             .execution_time_ns();
     }
@@ -56,8 +57,9 @@ fn ablate_fcs() {
         cfg.fast_context_switch = fcs;
         cfg.daq_jitter_ns = 0;
         let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, 5);
-        let ns = Machine::new(cfg, program.clone(), Box::new(qpu))
+        let ns = CompiledJob::compile(cfg, program.clone())
             .expect("valid machine")
+            .shot(Box::new(qpu), 5)
             .run()
             .execution_time_ns();
         t.row([fcs.to_string(), ns.to_string()]);
@@ -73,8 +75,9 @@ fn ablate_width() {
     for width in [1usize, 2, 4, 8, 16] {
         let cfg = QuapeConfig::superscalar(width).with_seed(5);
         let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 5);
-        let report = Machine::new(cfg, program.clone(), Box::new(qpu))
+        let report = CompiledJob::compile(cfg, program.clone())
             .expect("valid machine")
+            .shot(Box::new(qpu), 5)
             .run();
         let tr = ces_report_paper(&report).average_tr();
         let base = *scalar_tr.get_or_insert(tr);
@@ -110,8 +113,9 @@ fn ablate_granularity() {
         let program = build(blocks);
         let cfg = QuapeConfig::multiprocessor(4).with_seed(5);
         let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 5);
-        let ns = Machine::new(cfg, program, Box::new(qpu))
+        let ns = CompiledJob::compile(cfg, program)
             .expect("valid machine")
+            .shot(Box::new(qpu), 5)
             .run()
             .execution_time_ns();
         t.row([

@@ -3,20 +3,21 @@
 //! serialized on the uniprocessor (Fig. 3b) — rendered as per-qubit
 //! operation timelines.
 
-use quape_core::{render_timeline, Machine, QuapeConfig, TimelineOptions};
+use quape_core::{render_timeline, CompiledJob, QuapeConfig, TimelineOptions};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 use quape_workloads::feedback::parallel_rus;
 
 fn run(processors: usize, seed: u64) -> quape_core::RunReport {
     let program = parallel_rus(0, 1).expect("valid workload");
-    let cfg = QuapeConfig::multiprocessor(processors).with_seed(seed);
+    let cfg = QuapeConfig::multiprocessor(processors);
     let qpu = BehavioralQpu::new(
         cfg.timings,
         MeasurementModel::Bernoulli { p_one: 0.5 },
         seed,
     );
-    Machine::new(cfg, program, Box::new(qpu))
+    CompiledJob::compile(cfg, program)
         .expect("valid machine")
+        .shot(Box::new(qpu), seed)
         .run()
 }
 

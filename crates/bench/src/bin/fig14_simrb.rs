@@ -6,8 +6,9 @@
 //! `--batch` runs the shot-engine acceptance comparison *instead of*
 //! the figure (it composes with `--json` but not `--stack`): N noise
 //! realizations (default 256) of one RB sequence through the complete
-//! stack, once as the old sequential per-shot `Machine::new` loop and
-//! once through the batched `ShotEngine`, reporting shots/sec for both.
+//! stack, once as a sequential loop of full-report shots from one
+//! compiled job and once through the batched `ShotEngine`, reporting
+//! shots/sec for both.
 
 use quape_bench::fig14;
 use quape_bench::table::{to_json, TextTable};
@@ -24,7 +25,7 @@ fn batch_comparison(shots: u64, json: bool) {
     );
     let mut t = TextTable::new(["method", "wall time", "shots/sec", "survival"]);
     t.row([
-        "sequential Machine::new loop".to_string(),
+        "sequential Shot loop".to_string(),
         format!("{:.3} s", c.sequential_secs),
         format!("{:.1}", c.sequential_shots_per_sec),
         format!("{:.3}", c.survival_sequential),

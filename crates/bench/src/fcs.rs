@@ -2,7 +2,7 @@
 //! concurrently with an RB sequence, and the context switch costs three
 //! clock cycles.
 
-use quape_core::{Machine, QuapeConfig, RunReport};
+use quape_core::{CompiledJob, QuapeConfig, RunReport};
 use quape_qpu::{BehavioralQpu, CliffordGroup, MeasurementModel};
 use quape_workloads::rb::active_reset_with_rb;
 use serde::{Deserialize, Serialize};
@@ -31,8 +31,9 @@ fn run_once(fcs: bool, seed: u64) -> (RunReport, u64) {
     cfg.daq_jitter_ns = 0;
     let result_arrival = cfg.timings.readout_pulse_ns + cfg.daq_base_ns;
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, seed);
-    let report = Machine::new(cfg, w.program, Box::new(qpu))
+    let report = CompiledJob::compile(cfg, w.program)
         .expect("valid machine")
+        .shot(Box::new(qpu), seed)
         .run();
     (report, result_arrival)
 }

@@ -2,7 +2,7 @@
 //! plus the step-mode host-performance comparison on DAQ-wait-bound
 //! feedback workloads.
 
-use quape_core::{CompiledJob, Machine, QuapeConfig, ShotEngine, StepMode};
+use quape_core::{CompiledJob, QuapeConfig, ShotEngine, StepMode};
 use quape_qpu::{BehavioralQpu, BehavioralQpuFactory, MeasurementModel};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
 use quape_workloads::pulse::pulse_train;
@@ -31,9 +31,8 @@ pub fn run(cfg_base: &QuapeConfig) -> FeedbackBreakdown {
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, 1);
     let readout = cfg.timings.readout_pulse_ns;
     let acquisition = cfg.daq_base_ns;
-    let report = Machine::new(cfg, program, Box::new(qpu))
-        .expect("valid machine")
-        .run();
+    let job = CompiledJob::compile(cfg, program).expect("valid machine");
+    let report = job.shot(Box::new(qpu), job.cfg().seed).run();
     assert_eq!(report.issued.len(), 2, "measure + conditional X expected");
     let total = report.issued[1].time_ns - report.issued[0].time_ns;
     FeedbackBreakdown {
@@ -47,13 +46,11 @@ pub fn run(cfg_base: &QuapeConfig) -> FeedbackBreakdown {
 /// Mean total latency with DAQ jitter enabled (what an experiment sees).
 pub fn mean_total_with_jitter(cfg: &QuapeConfig, runs: usize) -> f64 {
     let program = conditional_x(0).expect("valid workload");
+    let job = CompiledJob::compile(cfg.clone(), program).expect("valid machine");
     let mut total = 0u64;
-    for i in 0..runs {
-        let cfg = cfg.clone().with_seed(i as u64);
-        let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, i as u64);
-        let report = Machine::new(cfg, program.clone(), Box::new(qpu))
-            .expect("valid machine")
-            .run();
+    for i in 0..runs as u64 {
+        let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, i);
+        let report = job.shot(Box::new(qpu), i).run();
         total += report.issued[1].time_ns - report.issued[0].time_ns;
     }
     total as f64 / runs as f64

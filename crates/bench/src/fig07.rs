@@ -2,7 +2,7 @@
 //! switching, reproduced as an event trace of the 4-block example circuit
 //! of Fig. 6 / Table 1.
 
-use quape_core::{BlockEvent, Machine, QuapeConfig};
+use quape_core::{BlockEvent, CompiledJob, QuapeConfig};
 use quape_isa::{ClassicalOp, Dependency, Gate1, Gate2, Program, ProgramBuilder, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 
@@ -44,9 +44,8 @@ pub fn example_program() -> Program {
 pub fn run(processors: usize) -> Vec<BlockEvent> {
     let cfg = QuapeConfig::multiprocessor(processors);
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-    let report = Machine::new(cfg, example_program(), Box::new(qpu))
-        .expect("valid machine")
-        .run();
+    let job = CompiledJob::compile(cfg, example_program()).expect("valid machine");
+    let report = job.shot(Box::new(qpu), job.cfg().seed).run();
     assert!(matches!(report.stop, quape_core::StopReason::Completed));
     report.block_events
 }

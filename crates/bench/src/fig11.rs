@@ -2,7 +2,7 @@
 //! rates — mean execution time over many runs, plus actual and ideal
 //! speedup.
 
-use quape_core::{Machine, QuapeConfig};
+use quape_core::{CompiledJob, QuapeConfig};
 use quape_qpu::BehavioralQpu;
 use quape_workloads::{ShorSyndrome, ShorSyndromeConfig};
 use serde::{Deserialize, Serialize};
@@ -51,15 +51,13 @@ fn mean_time_us(
     failure_rate: f64,
     opts: Fig11Options,
 ) -> f64 {
+    let job = CompiledJob::compile(cfg_base.clone(), program.clone()).expect("valid machine");
     let mut total_ns = 0u64;
     for i in 0..opts.runs {
         let seed = opts.seed + i as u64;
-        let cfg = cfg_base.clone().with_seed(seed);
         let model = ShorSyndrome::measurement_model(failure_rate);
-        let qpu = BehavioralQpu::new(cfg.timings, model, seed ^ 0x5a5a);
-        let report = Machine::new(cfg, program.clone(), Box::new(qpu))
-            .expect("valid machine")
-            .run_with_limit(2_000_000);
+        let qpu = BehavioralQpu::new(cfg_base.timings, model, seed ^ 0x5a5a);
+        let report = job.shot(Box::new(qpu), seed).run_with_limit(2_000_000);
         assert!(
             matches!(report.stop, quape_core::StopReason::Completed),
             "Shor run did not complete: {:?}",

@@ -2,7 +2,7 @@
 //! implementation vs the uniprocessor.
 
 use quape_compiler::{partition_two_blocks, Compiler};
-use quape_core::{Machine, QuapeConfig, RunReport};
+use quape_core::{CompiledJob, QuapeConfig, RunReport};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 use quape_workloads::benchmark_suite;
 use serde::{Deserialize, Serialize};
@@ -26,9 +26,8 @@ pub struct Fig12Row {
 
 fn run_once(cfg: QuapeConfig, program: quape_isa::Program) -> RunReport {
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 11);
-    let report = Machine::new(cfg, program, Box::new(qpu))
-        .expect("valid machine")
-        .run();
+    let job = CompiledJob::compile(cfg, program).expect("valid machine");
+    let report = job.shot(Box::new(qpu), job.cfg().seed).run();
     assert!(
         matches!(report.stop, quape_core::StopReason::Completed),
         "benchmark did not complete: {:?}",

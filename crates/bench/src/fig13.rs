@@ -2,7 +2,7 @@
 //! baseline on the seven suite benchmarks.
 
 use quape_compiler::Compiler;
-use quape_core::{ces_report_paper, Machine, QuapeConfig};
+use quape_core::{ces_report_paper, CompiledJob, QuapeConfig};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 use quape_workloads::benchmark_suite;
 use serde::{Deserialize, Serialize};
@@ -32,9 +32,8 @@ pub struct Fig13Row {
 /// Runs one benchmark through a configuration and returns its CES report.
 fn tr_of(cfg: QuapeConfig, program: quape_isa::Program) -> quape_core::CesReport {
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 7);
-    let report = Machine::new(cfg, program, Box::new(qpu))
-        .expect("valid machine")
-        .run();
+    let job = CompiledJob::compile(cfg, program).expect("valid machine");
+    let report = job.shot(Box::new(qpu), job.cfg().seed).run();
     assert!(
         matches!(report.stop, quape_core::StopReason::Completed),
         "benchmark did not complete: {:?}",

@@ -11,7 +11,7 @@
 //!   operations correctly. Survival comes from the measurement records
 //!   the machine collected.
 
-use quape_core::{shot_seed, Machine, QuapeConfig, StateVectorQpu};
+use quape_core::{shot_seed, CompiledJob, QuapeConfig, StateVectorQpu};
 use quape_qpu::{
     fit_decay, run_simrb_experiment, CliffordGroup, DecayFit, DepolarizingNoise, RbConfig,
     ReadoutError, SimRbReport,
@@ -95,10 +95,10 @@ pub fn run_through_stack_batch(
     }
 }
 
-/// Host-side comparison of one multi-shot RB job run two ways: the old
-/// sequential per-shot `Machine::new` loop (revalidating config and
-/// re-wrapping the program on every shot) versus the shot engine
-/// (compile once, fan shots across threads).
+/// Host-side comparison of one multi-shot RB job run two ways: a
+/// sequential loop of full-report [`Shot`](quape_core::Shot)s from one
+/// compiled job versus the shot engine (lean shots fanned across
+/// threads).
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchComparison {
     /// RB sequence length.
@@ -124,7 +124,7 @@ pub struct BatchComparison {
 }
 
 /// Runs the acceptance comparison: `shots` noise realizations of one
-/// length-`m` RB sequence, sequentially (per-shot `Machine::new`) and
+/// length-`m` RB sequence, sequentially (one `Shot` at a time) and
 /// through the [`quape_core::ShotEngine`] on `threads` workers
 /// (0 = automatic).
 pub fn shot_engine_comparison(m: u32, shots: u64, threads: usize) -> BatchComparison {
@@ -132,21 +132,18 @@ pub fn shot_engine_comparison(m: u32, shots: u64, threads: usize) -> BatchCompar
     let noise = DepolarizingNoise::for_fidelity(0.995);
     let base_seed = 77u64;
 
-    // Old path: regenerate the program and rebuild (revalidate) the
-    // machine for every shot — what every call site did before the
-    // job/shot split.
+    // Sequential path: compile once, then one full-report shot after
+    // another on this thread.
     let seq_start = Instant::now();
+    let program = rb_program(&group, 0, m, base_seed)
+        .expect("valid program")
+        .program;
+    let job = CompiledJob::compile(QuapeConfig::superscalar(8), program).expect("valid machine");
     let mut survived = 0u64;
     for i in 0..shots {
         let seed = shot_seed(base_seed, i);
-        let program = rb_program(&group, 0, m, base_seed)
-            .expect("valid program")
-            .program;
-        let cfg = QuapeConfig::superscalar(8).with_seed(seed);
-        let qpu = StateVectorQpu::new(1, cfg.timings, noise, ReadoutError::default(), seed);
-        let report = Machine::new(cfg, program, Box::new(qpu))
-            .expect("valid machine")
-            .run();
+        let qpu = StateVectorQpu::new(1, job.cfg().timings, noise, ReadoutError::default(), seed);
+        let report = job.shot(Box::new(qpu), seed).run();
         let outcome = report
             .measurements
             .iter()

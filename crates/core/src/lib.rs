@@ -26,7 +26,7 @@
 //! [`ces_report`].
 //!
 //! ```
-//! use quape_core::{ces_report_paper, Machine, QuapeConfig};
+//! use quape_core::{ces_report_paper, CompiledJob, QuapeConfig};
 //! use quape_qpu::{BehavioralQpu, MeasurementModel};
 //! use quape_isa::assemble;
 //!
@@ -34,7 +34,7 @@
 //! let program = assemble(".step 0\n0 H q0\n0 H q1\n.step 1\n1 CNOT q0, q1\n.step none\nSTOP\n")?;
 //! let cfg = QuapeConfig::superscalar(8);
 //! let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-//! let report = Machine::new(cfg, program, Box::new(qpu))?.run();
+//! let report = CompiledJob::compile(cfg, program)?.shot(Box::new(qpu), 0).run();
 //! let ces = ces_report_paper(&report);
 //! assert!(ces.meets_deadline());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -74,7 +74,7 @@ pub use engine::{
     shot_seed, BatchAggregate, BatchReport, DistributionSummary, EngineObs, QpuFactory,
     QubitHistogram, ShotEngine, ShotSummary, StateVectorQpuFactory, StopCounts, WorkerScratch,
 };
-pub use machine::{CompiledJob, Machine, MachineError, MeasurementRecord, Shot, StepMode};
+pub use machine::{CompiledJob, MachineError, MeasurementRecord, Shot, StepMode};
 pub use metrics::{ces_report, ces_report_paper, CesReport, StepMetrics, TR_GATE_NS};
 pub use report::{BlockEvent, MachineStats, ProcessorStats, RunReport, StepDispatch, StopReason};
 pub use timeline::{render_timeline, TimelineOptions};

@@ -10,9 +10,8 @@
 //! one job and then run thousands of shots from it (see
 //! [`crate::ShotEngine`]).
 //!
-//! [`Machine`] remains the single-shot convenience wrapper the rest of
-//! the workspace was written against: `Machine::new(cfg, program, qpu)`
-//! compiles a job and builds its one shot.
+//! A single run is the same two steps with one shot:
+//! `CompiledJob::compile(cfg, program)?.shot(qpu, seed).run()`.
 
 use crate::backend::QpuBackend;
 use crate::config::QuapeConfig;
@@ -215,8 +214,9 @@ impl CompiledJob {
     ///
     /// Returns [`MachineError::Config`] for inconsistent configurations
     /// (including a `num_qubits` override smaller than what the program
-    /// touches) and [`MachineError::Program`] when wrapping a block-less
-    /// program fails.
+    /// touches, and a program or override above the ISA's
+    /// [`MAX_QUBITS`](quape_isa::MAX_QUBITS)) and [`MachineError::Program`]
+    /// when wrapping a block-less program fails.
     pub fn compile(cfg: QuapeConfig, program: Program) -> Result<Self, MachineError> {
         cfg.validate().map_err(MachineError::Config)?;
         let program = ensure_blocks(program)?;
@@ -230,6 +230,12 @@ impl CompiledJob {
             )))
             }
         };
+        if usize::from(num_qubits) > quape_isa::MAX_QUBITS {
+            return Err(MachineError::Config(format!(
+                "{num_qubits} qubits exceed the ISA's {} addressable qubits",
+                quape_isa::MAX_QUBITS
+            )));
+        }
         let chan = match cfg.readout_lines {
             None => ChannelMap::linear(num_qubits),
             Some(lines) => ChannelMap::multiplexed(num_qubits, lines),
@@ -353,11 +359,12 @@ impl CompiledJob {
         core
     }
 
-    /// Builds the per-shot machine state for one execution, driving `qpu`
-    /// and seeding the shot's PRNG (DAQ jitter) with `rng_seed`.
+    /// Builds the per-shot machine state for one execution on the lowered
+    /// core, driving `qpu` and seeding the shot's PRNG (DAQ jitter) with
+    /// `rng_seed`.
     pub fn shot(&self, qpu: Box<dyn QpuBackend>, rng_seed: u64) -> Shot {
         Shot {
-            core: self.reference_core(qpu, SmallRng::seed_from_u64(rng_seed), false),
+            core: self.fast_core(qpu, SmallRng::seed_from_u64(rng_seed), false),
         }
     }
 
@@ -392,10 +399,11 @@ impl CompiledJob {
 
 /// The mutable state of one execution: processors, scheduler, devices,
 /// QPU, PRNG, and statistics — generic over the processor implementation
-/// ([`ProcessorCore`]). [`Shot`] wraps `ShotCore<Processor>` as the
-/// public single-type façade and the [`StepMode::Cycle`] oracle;
-/// [`StepMode::EventDriven`] runs on `ShotCore<FastProcessor>` over the
-/// job's [`LoweredProgram`].
+/// ([`ProcessorCore`]). `ShotCore<FastProcessor>` runs the job's
+/// [`LoweredProgram`]: [`Shot`] wraps one, and every engine shot runs on
+/// one. `ShotCore<Processor>` is the [`StepMode::Cycle`] oracle, built
+/// only by the `Cycle` arms of [`Shot::run_with_mode`] and
+/// [`ShotEngine::run_shot_reusing`](crate::ShotEngine::run_shot_reusing).
 pub(crate) struct ShotCore<P: ProcessorCore> {
     job: CompiledJob,
     /// The compiled artifact cache fills read, shared with the job
@@ -434,7 +442,7 @@ impl<P: ProcessorCore> ShotCore<P> {
     /// engine shot, which is reduced to a [`ShotSummary`] of counters —
     /// leaves the `wait_cycles`, `step_dispatches`, `issued` and
     /// `playback` vectors empty; execution and every counter are
-    /// unchanged. [`Shot`]/[`Machine`] runs are always full.
+    /// unchanged. [`Shot`] runs are always full.
     fn set_lean(&mut self, lean: bool) {
         self.wait_cycles.record = !lean;
         self.step_dispatches.record = !lean;
@@ -949,11 +957,15 @@ impl ShotCore<FastProcessor> {
 /// The per-shot machine state of one execution. Built from a
 /// [`CompiledJob`]; stepped at clock-cycle granularity.
 ///
-/// Internally this wraps the reference `ShotCore<Processor>`;
-/// [`Shot::run_with_mode`] with [`StepMode::EventDriven`] converts an
-/// un-stepped shot onto the lowered core before running.
+/// A shot is built on the lowered core (`ShotCore<FastProcessor>` over
+/// the job's [`LoweredProgram`]), the one core that serves.
+/// [`step`](Shot::step) ticks it one cycle at a time, and
+/// [`run_with_mode`](Shot::run_with_mode) with [`StepMode::EventDriven`]
+/// finishes it with time skips from wherever it stands. Only
+/// [`StepMode::Cycle`] touches the reference processor, and only for an
+/// un-stepped shot (see [`run_with_mode`](Shot::run_with_mode)).
 pub struct Shot {
-    core: ShotCore<Processor>,
+    core: ShotCore<FastProcessor>,
 }
 
 impl Shot {
@@ -985,20 +997,31 @@ impl Shot {
 
     /// Runs until completion, a `HALT`, an error, or the cycle budget,
     /// advancing time as `mode` dictates. Both modes produce
-    /// bit-identical reports; [`StepMode::Cycle`] is the slow oracle.
+    /// bit-identical reports.
+    ///
+    /// [`StepMode::Cycle`] on an un-stepped shot moves the QPU and the
+    /// PRNG onto a fresh reference core (`Processor`, the differential
+    /// oracle) and steps that every cycle; nothing else has run yet, so
+    /// the report is the oracle's. A shot already advanced with
+    /// [`step`](Shot::step) finishes on the lowered core it was stepped
+    /// on, cycle by cycle.
     pub fn run_with_mode(self, mode: StepMode, max_cycles: u64) -> RunReport {
-        // The lowered core starts from shot-initial state: a shot the
-        // caller already advanced with `step` cannot be transplanted
-        // mid-run, so it finishes cycle-stepped instead (the report is
-        // identical either way).
-        if mode == StepMode::EventDriven && self.core.cycle == 0 {
-            let mut core = self.into_fast();
-            let stop = core.run_fast_loop(max_cycles);
-            core.into_report(stop)
-        } else {
-            let mut core = self.core;
-            let stop = core.run_loop(max_cycles);
-            core.into_report(stop)
+        let mut core = self.core;
+        match mode {
+            StepMode::EventDriven => {
+                let stop = core.run_fast_loop(max_cycles);
+                core.into_report(stop)
+            }
+            StepMode::Cycle if core.cycle == 0 => {
+                let ShotCore { job, qpu, rng, .. } = core;
+                let mut core = job.reference_core(qpu, rng, false);
+                let stop = core.run_loop(max_cycles);
+                core.into_report(stop)
+            }
+            StepMode::Cycle => {
+                let stop = core.run_loop(max_cycles);
+                core.into_report(stop)
+            }
         }
     }
 
@@ -1017,94 +1040,6 @@ impl Shot {
     /// (diagnostic twin of [`AwgBank::qubit_busy_until`]).
     pub fn qpu_busy_until(&self, qubit: quape_isa::Qubit) -> u64 {
         self.core.qpu.busy_until(qubit)
-    }
-
-    /// Moves an un-stepped shot onto the lowered core. Only the QPU and
-    /// the PRNG carry over: at cycle 0 every other field is still as
-    /// `CompiledJob::core` built it, so the lowered core is built fresh
-    /// by the same constructor (its scheduler records the same
-    /// initial-load block events) and reports stay bit-identical.
-    fn into_fast(self) -> ShotCore<FastProcessor> {
-        debug_assert_eq!(self.core.cycle, 0, "fast conversion requires a fresh shot");
-        let ShotCore { job, qpu, rng, .. } = self.core;
-        job.fast_core(qpu, rng, false)
-    }
-}
-
-/// The full control stack of Fig. 5/9 as a single-shot convenience: one
-/// compiled job driving one [`Shot`].
-///
-/// For multi-shot experiments, compile the job once with
-/// [`CompiledJob::compile`] and use [`crate::ShotEngine`] instead of
-/// re-validating everything per repetition.
-///
-/// ```
-/// use quape_core::{Machine, QuapeConfig};
-/// use quape_qpu::{BehavioralQpu, MeasurementModel};
-/// use quape_isa::assemble;
-///
-/// let program = assemble("0 H q0\n0 H q1\n2 CNOT q0, q1\nSTOP\n")?;
-/// let cfg = QuapeConfig::superscalar(4);
-/// let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-/// let report = Machine::new(cfg, program, Box::new(qpu))?.run();
-/// assert_eq!(report.issued_count(), 3);
-/// assert!(report.timing_clean());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct Machine {
-    shot: Shot,
-}
-
-impl Machine {
-    /// Builds a machine for `program` driving `qpu`.
-    ///
-    /// The shot's PRNG is seeded from `cfg.seed`, exactly as before the
-    /// job/shot split.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::Config`] for inconsistent configurations and
-    /// [`MachineError::Program`] when wrapping a block-less program fails.
-    pub fn new(
-        cfg: QuapeConfig,
-        program: Program,
-        qpu: Box<dyn QpuBackend>,
-    ) -> Result<Self, MachineError> {
-        let seed = cfg.seed;
-        let job = CompiledJob::compile(cfg, program)?;
-        Ok(Machine {
-            shot: job.shot(qpu, seed),
-        })
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.shot.cycle()
-    }
-
-    /// Advances the machine by one clock cycle.
-    pub fn step(&mut self) {
-        self.shot.step();
-    }
-
-    /// Runs until completion with a default budget of 10 million cycles.
-    pub fn run(self) -> RunReport {
-        self.shot.run()
-    }
-
-    /// Runs until completion, a `HALT`, an error, or the cycle budget.
-    pub fn run_with_limit(self, max_cycles: u64) -> RunReport {
-        self.shot.run_with_limit(max_cycles)
-    }
-
-    /// Runs with an explicit [`StepMode`] (differential testing hook).
-    pub fn run_with_mode(self, mode: StepMode, max_cycles: u64) -> RunReport {
-        self.shot.run_with_mode(mode, max_cycles)
-    }
-
-    /// Measurement outcomes observed so far (delivered results).
-    pub fn measurements(&self) -> &[MeasurementRecord] {
-        self.shot.measurements()
     }
 }
 
@@ -1205,27 +1140,15 @@ mod tests {
     }
 
     #[test]
-    fn machine_wrapper_matches_job_shot() {
-        let cfg = QuapeConfig::superscalar(4).with_seed(9);
-        let program = two_qubit_program();
-        let via_machine = Machine::new(cfg.clone(), program.clone(), coin(&cfg, 5))
-            .expect("machine builds")
-            .run();
-        let job = CompiledJob::compile(cfg.clone(), program).expect("compiles");
-        let via_shot = job.shot(coin(&cfg, 5), cfg.seed).run();
-        assert_eq!(via_machine.cycles, via_shot.cycles);
-        assert_eq!(via_machine.measurements, via_shot.measurements);
-        let a: Vec<(u64, String)> = via_machine
-            .issued
-            .iter()
-            .map(|o| (o.time_ns, o.op.to_string()))
-            .collect();
-        let b: Vec<(u64, String)> = via_shot
-            .issued
-            .iter()
-            .map(|o| (o.time_ns, o.op.to_string()))
-            .collect();
-        assert_eq!(a, b);
+    fn qubit_count_capped_at_isa_limit() {
+        let cfg = QuapeConfig::superscalar(4);
+        let wide = |q: usize| quape_isa::assemble(&format!("0 H q{q}\nSTOP\n")).expect("valid");
+        let job = CompiledJob::compile(cfg.clone(), wide(127)).expect("q127 is addressable");
+        assert_eq!(usize::from(job.num_qubits()), quape_isa::MAX_QUBITS);
+        let err = CompiledJob::compile(cfg.clone(), wide(128)).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "{err}");
+        let err = CompiledJob::compile(cfg.with_num_qubits(129), wide(0)).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "{err}");
     }
 
     #[test]

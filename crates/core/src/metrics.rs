@@ -96,7 +96,7 @@ impl fmt::Display for CesReport {
 /// *i−1* and of step *i* (for the first step: from the first dispatch of
 /// the program), minus any measurement-wait cycles inside that span.
 ///
-/// Requires a [`Shot`](crate::Shot)/[`Machine`](crate::Machine) report:
+/// Requires a full [`Shot`](crate::Shot) report:
 /// the analysis reads the per-event `step_dispatches` and `wait_cycles`
 /// vectors, which lean engine shots never record — a report without
 /// them would silently yield an empty CES table here, so it is rejected
@@ -104,7 +104,7 @@ impl fmt::Display for CesReport {
 pub fn ces_report(report: &RunReport, clock_ns: u64, gate_ns: u64) -> CesReport {
     debug_assert!(
         !report.step_dispatches.is_empty() || report.stats.total_quantum() == 0,
-        "ces_report needs a report with step_dispatches (a Shot/Machine run)"
+        "ces_report needs a report with step_dispatches (a Shot run)"
     );
     let mut last_dispatch: BTreeMap<StepId, u64> = BTreeMap::new();
     let mut counts: BTreeMap<StepId, usize> = BTreeMap::new();

@@ -65,14 +65,14 @@ struct Paint {
 /// overflowed `max_columns`.
 ///
 /// ```
-/// use quape_core::{render_timeline, Machine, QuapeConfig, TimelineOptions};
+/// use quape_core::{render_timeline, CompiledJob, QuapeConfig, TimelineOptions};
 /// use quape_qpu::{BehavioralQpu, MeasurementModel};
 /// use quape_isa::assemble;
 ///
 /// let program = assemble("0 H q0\n0 H q1\n2 CNOT q0, q1\nSTOP\n")?;
 /// let cfg = QuapeConfig::superscalar(4);
 /// let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-/// let report = Machine::new(cfg, program, Box::new(qpu))?.run();
+/// let report = CompiledJob::compile(cfg, program)?.shot(Box::new(qpu), 0).run();
 /// let art = render_timeline(&report, &TimelineOptions::default());
 /// assert!(art.contains("q0"));
 /// assert!(art.contains("H="));
@@ -161,15 +161,16 @@ pub fn render_timeline(report: &RunReport, opts: &TimelineOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Machine, QuapeConfig};
+    use crate::{CompiledJob, QuapeConfig};
     use quape_isa::assemble;
     use quape_qpu::{BehavioralQpu, MeasurementModel};
 
     fn run(src: &str) -> RunReport {
         let cfg = QuapeConfig::superscalar(8);
         let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-        Machine::new(cfg, assemble(src).unwrap(), Box::new(qpu))
+        CompiledJob::compile(cfg, assemble(src).unwrap())
             .unwrap()
+            .shot(Box::new(qpu), 0)
             .run()
     }
 

@@ -2,15 +2,17 @@
 //! superscalar grouping, feedback control, fast context switch, block
 //! scheduling and multiprocessor execution.
 
-use quape_core::{ces_report_paper, Machine, QuapeConfig, RunReport, StopReason};
+use quape_core::{ces_report_paper, CompiledJob, QuapeConfig, RunReport, StopReason};
 use quape_isa::{assemble, QuantumOp};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 
 fn run(cfg: QuapeConfig, src: &str, model: MeasurementModel) -> RunReport {
     let program = assemble(src).expect("valid test program");
     let qpu = BehavioralQpu::new(cfg.timings, model, cfg.seed.wrapping_add(17));
-    Machine::new(cfg, program, Box::new(qpu))
+    let seed = cfg.seed;
+    CompiledJob::compile(cfg, program)
         .expect("valid machine")
+        .shot(Box::new(qpu), seed)
         .run()
 }
 
@@ -592,8 +594,9 @@ fn cycle_limit_reports_timeout() {
     let program = assemble(src).unwrap();
     let cfg = QuapeConfig::uniprocessor();
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 5);
-    let r = Machine::new(cfg, program, Box::new(qpu))
+    let r = CompiledJob::compile(cfg, program)
         .unwrap()
+        .shot(Box::new(qpu), 0)
         .run_with_limit(2_000);
     assert_eq!(r.stop, StopReason::CycleLimit);
     assert_eq!(r.cycles, 2_000);

@@ -3,7 +3,7 @@
 //! operations across configurations, and are deterministic under seeds.
 
 use proptest::prelude::*;
-use quape_core::{Machine, QuapeConfig, StopReason};
+use quape_core::{CompiledJob, QuapeConfig, StopReason};
 use quape_isa::{ClassicalOp, Gate1, Gate2, Program, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpu, MeasurementModel};
 
@@ -60,8 +60,10 @@ fn run(cfg: QuapeConfig, program: Program, seed: u64) -> quape_core::RunReport {
         MeasurementModel::Bernoulli { p_one: 0.5 },
         seed,
     );
-    Machine::new(cfg, program, Box::new(qpu))
+    let cfg_seed = cfg.seed;
+    CompiledJob::compile(cfg, program)
         .expect("machine builds")
+        .shot(Box::new(qpu), cfg_seed)
         .run_with_limit(500_000)
 }
 

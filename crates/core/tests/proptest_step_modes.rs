@@ -6,7 +6,7 @@
 //! arena fold to the oracle's aggregate.
 
 use proptest::prelude::*;
-use quape_core::{BatchAggregate, CompiledJob, Machine, QuapeConfig, ShotEngine, StepMode};
+use quape_core::{BatchAggregate, CompiledJob, QuapeConfig, ShotEngine, StepMode};
 use quape_isa::{ClassicalOp, CondOp, Cycles, Gate1, Gate2, Program, QuantumOp, Qubit};
 use quape_qpu::{BehavioralQpu, BehavioralQpuFactory, MeasurementModel};
 
@@ -82,8 +82,9 @@ fn run(cfg: QuapeConfig, program: Program, mode: StepMode, seed: u64) -> quape_c
         MeasurementModel::Bernoulli { p_one: 0.5 },
         seed,
     );
-    Machine::new(cfg.with_seed(seed), program, Box::new(qpu))
+    CompiledJob::compile(cfg, program)
         .expect("machine builds")
+        .shot(Box::new(qpu), seed)
         .run_with_mode(mode, 500_000)
 }
 

@@ -1,7 +1,7 @@
 //! Scheduler stress tests: dependency topologies, prefetch behaviour and
 //! allocation under contention.
 
-use quape_core::{Machine, QuapeConfig, RunReport, StopReason};
+use quape_core::{CompiledJob, QuapeConfig, RunReport, StopReason};
 use quape_isa::{
     BlockStatus, ClassicalOp, Dependency, Gate1, Program, ProgramBuilder, QuantumOp, Qubit,
 };
@@ -9,8 +9,10 @@ use quape_qpu::{BehavioralQpu, MeasurementModel};
 
 fn run(cfg: QuapeConfig, program: Program) -> RunReport {
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, cfg.seed);
-    Machine::new(cfg, program, Box::new(qpu))
+    let seed = cfg.seed;
+    CompiledJob::compile(cfg, program)
         .expect("machine builds")
+        .shot(Box::new(qpu), seed)
         .run_with_limit(500_000)
 }
 

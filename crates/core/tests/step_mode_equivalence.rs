@@ -135,25 +135,28 @@ fn both_step_modes_are_bit_identical() {
     }
 }
 
-/// A shot already advanced with [`Shot::step`] cannot move onto the
-/// lowered core mid-run, so `run_with_mode(EventDriven)` finishes it
-/// cycle-stepped — with the same report as an un-stepped run.
+/// A shot advanced with [`Shot::step`] finishes on the lowered core it
+/// was stepped on: `EventDriven` resumes the time-skipping loop
+/// mid-shot, `Cycle` keeps stepping it cycle by cycle. Either way the
+/// report is the un-stepped run's.
 #[test]
 fn manually_stepped_shots_finish_with_identical_reports() {
     for (label, program) in workloads() {
         let job = CompiledJob::compile(QuapeConfig::superscalar(4), program).expect("job compiles");
         let unstepped = run(&job, StepMode::EventDriven, 17);
         for steps in [1, 7, 40] {
-            let mut stepped = shot(&job, 17);
-            for _ in 0..steps {
-                stepped.step();
+            for mode in [StepMode::EventDriven, StepMode::Cycle] {
+                let mut stepped = shot(&job, 17);
+                for _ in 0..steps {
+                    stepped.step();
+                }
+                assert_eq!(stepped.cycle(), steps);
+                assert_eq!(
+                    stepped.run_with_mode(mode, 2_000_000),
+                    unstepped,
+                    "{label}: {mode:?} diverged after {steps} manual steps"
+                );
             }
-            assert_eq!(stepped.cycle(), steps);
-            assert_eq!(
-                stepped.run_with_mode(StepMode::EventDriven, 2_000_000),
-                unstepped,
-                "{label}: diverged after {steps} manual steps"
-            );
         }
     }
 }

@@ -244,6 +244,25 @@ fn invalid_requests_are_rejected_at_submit() {
     assert!(srv.run().is_empty());
 }
 
+/// A program addressing a qubit the ISA cannot encode is a typed compile
+/// error at submit, not a job that runs.
+#[test]
+fn qubits_beyond_the_isa_are_rejected_at_submit() {
+    let cfg = QuapeConfig::superscalar(4);
+    let srv = server(1, 8);
+    let wide = JobRequest::new(
+        "wide",
+        JobSource::Text("0 H q65535\nSTOP\n".into()),
+        cfg.clone(),
+        coin(&cfg),
+        4,
+    );
+    let err = srv.submit(wide).unwrap_err();
+    assert!(matches!(err, JobError::Compile(_)), "{err}");
+    assert_eq!(srv.pending_jobs(), 0);
+    assert!(srv.run().is_empty());
+}
+
 /// The server survives multiple submit→run waves, and the second wave of
 /// identical programs is fully cache-warm.
 #[test]

@@ -11,12 +11,13 @@ use quape::workloads::rb::active_reset_with_rb;
 fn run(fast_context_switch: bool) -> RunReport {
     let group = CliffordGroup::new();
     let workload = active_reset_with_rb(&group, 0, 1, 12, 9).expect("valid workload");
-    let mut cfg = QuapeConfig::superscalar(8).with_seed(1);
+    let mut cfg = QuapeConfig::superscalar(8);
     cfg.fast_context_switch = fast_context_switch;
     cfg.daq_jitter_ns = 0;
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, 1);
-    Machine::new(cfg, workload.program, Box::new(qpu))
+    CompiledJob::compile(cfg, workload.program)
         .expect("valid machine")
+        .shot(Box::new(qpu), 1)
         .run()
 }
 

@@ -11,11 +11,12 @@ use quape::workloads::feedback::parallel_rus;
 
 fn run(processors: usize) -> RunReport {
     let program = parallel_rus(0, 1).expect("valid workload");
-    let cfg = QuapeConfig::multiprocessor(processors).with_seed(11);
+    let cfg = QuapeConfig::multiprocessor(processors);
     // Each RUS round fails with probability 0.5.
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 11);
-    Machine::new(cfg, program, Box::new(qpu))
+    CompiledJob::compile(cfg, program)
         .expect("valid machine")
+        .shot(Box::new(qpu), 11)
         .run()
 }
 

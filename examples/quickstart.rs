@@ -33,7 +33,9 @@ STOP
     // An 8-way superscalar QuAPE in front of a PRNG-measurement QPU.
     let cfg = QuapeConfig::superscalar(8);
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 42);
-    let report = Machine::new(cfg, program, Box::new(qpu))?.run();
+    let report = CompiledJob::compile(cfg, program)?
+        .shot(Box::new(qpu), 0)
+        .run();
 
     println!("\noperation timeline:");
     for op in &report.issued {

@@ -9,17 +9,16 @@ use quape::prelude::*;
 
 fn mean_time_us(processors: usize, failure_rate: f64, runs: usize) -> f64 {
     let workload = ShorSyndrome::generate(ShorSyndromeConfig::default()).expect("valid workload");
+    let job = CompiledJob::compile(QuapeConfig::multiprocessor(processors), workload.program)
+        .expect("valid machine");
     let mut total_ns = 0u64;
     for seed in 0..runs as u64 {
-        let cfg = QuapeConfig::multiprocessor(processors).with_seed(seed);
         let qpu = BehavioralQpu::new(
-            cfg.timings,
+            job.cfg().timings,
             ShorSyndrome::measurement_model(failure_rate),
             seed,
         );
-        let report = Machine::new(cfg, workload.program.clone(), Box::new(qpu))
-            .expect("valid machine")
-            .run_with_limit(2_000_000);
+        let report = job.shot(Box::new(qpu), seed).run_with_limit(2_000_000);
         assert_eq!(report.stop, StopReason::Completed);
         total_ns += report.execution_time_ns();
     }
@@ -48,10 +47,11 @@ fn main() {
     println!("\n(paper: up to 2.59x speedup at six cores)");
 
     // One six-core run in detail: per-processor utilization.
-    let cfg = QuapeConfig::multiprocessor(6).with_seed(1);
+    let cfg = QuapeConfig::multiprocessor(6);
     let qpu = BehavioralQpu::new(cfg.timings, ShorSyndrome::measurement_model(0.25), 1);
-    let report = Machine::new(cfg, workload.program.clone(), Box::new(qpu))
+    let report = CompiledJob::compile(cfg, workload.program.clone())
         .expect("valid machine")
+        .shot(Box::new(qpu), 1)
         .run_with_limit(2_000_000);
     println!(
         "\nsix-core utilization for one run ({} cycles):",

@@ -33,7 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("8-way superscalar", QuapeConfig::superscalar(8)),
     ] {
         let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 }, 7);
-        let report = Machine::new(cfg, program.clone(), Box::new(qpu))?.run();
+        let report = CompiledJob::compile(cfg, program.clone())?
+            .shot(Box::new(qpu), 0)
+            .run();
         let ces = ces_report_paper(&report);
         println!(
             "\n{label}: average TR {:.2}, max TR {:.2}, late issues {}",

@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One run, visualized.
     let program = teleportation_with_input(theta, 0, 1, 2)?;
-    let cfg = QuapeConfig::superscalar(8).with_seed(7);
+    let cfg = QuapeConfig::superscalar(8);
     let qpu = StateVectorQpu::new(
         3,
         cfg.timings,
@@ -26,7 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ReadoutError::default(),
         7,
     );
-    let report = Machine::new(cfg, program, Box::new(qpu))?.run();
+    let report = CompiledJob::compile(cfg, program)?
+        .shot(Box::new(qpu), 7)
+        .run();
     println!("{}", render_timeline(&report, &TimelineOptions::default()));
     println!(
         "Bell measurement outcomes: m(q0) = {}, m(q1) = {}; {} MRCE context switch(es)\n",
@@ -50,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         b.quantum(2, QuantumOp::Measure(Qubit::new(2)));
         b.push(ClassicalOp::Stop);
         let program = b.finish()?;
-        let cfg = QuapeConfig::superscalar(8).with_seed(u64::from(seed));
+        let cfg = QuapeConfig::superscalar(8);
         let qpu = StateVectorQpu::new(
             3,
             cfg.timings,
@@ -60,7 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ReadoutError::default(),
             u64::from(seed),
         );
-        let report = Machine::new(cfg, program, Box::new(qpu))?.run();
+        let report = CompiledJob::compile(cfg, program)?
+            .shot(Box::new(qpu), u64::from(seed))
+            .run();
         let outcome = report
             .measurements
             .iter()

@@ -164,14 +164,15 @@ fn main() -> ExitCode {
     );
     let cfg = args.config;
     let qpu = BehavioralQpu::new(cfg.timings, args.model, cfg.seed);
-    let machine = match Machine::new(cfg.clone(), program, Box::new(qpu)) {
-        Ok(m) => m,
+    let seed = cfg.seed;
+    let job = match CompiledJob::compile(cfg, program) {
+        Ok(job) => job,
         Err(e) => {
             eprintln!("qrun: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let report = machine.run_with_limit(args.limit);
+    let report = job.shot(Box::new(qpu), seed).run_with_limit(args.limit);
     println!(
         "stop: {:?} after {} cycles ({} ns); {} ops issued, {} measurement(s)",
         report.stop,

@@ -35,7 +35,7 @@
 //! let program = assemble("0 H q0\n0 H q1\n2 CNOT q0, q1\nSTOP\n")?;
 //! let cfg = QuapeConfig::superscalar(8);
 //! let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-//! let report = Machine::new(cfg, program, Box::new(qpu))?.run();
+//! let report = CompiledJob::compile(cfg, program)?.shot(Box::new(qpu), 0).run();
 //! assert_eq!(report.issued_count(), 3);
 //! assert!(report.timing_clean());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -69,8 +69,8 @@ pub mod prelude {
     pub use quape_compiler::{partition_two_blocks, Compiler};
     pub use quape_core::{
         ces_report_paper, AwgViolation, AwgViolationKind, BatchAggregate, BatchReport, CompiledJob,
-        DescriptionError, Machine, MachineDescription, PlaybackEvent, QpuFactory, QuapeConfig,
-        RunReport, Shot, ShotEngine, StateVectorQpu, StateVectorQpuFactory, StepMode, StopReason,
+        DescriptionError, MachineDescription, PlaybackEvent, QpuFactory, QuapeConfig, RunReport,
+        Shot, ShotEngine, StateVectorQpu, StateVectorQpuFactory, StepMode, StopReason,
     };
     pub use quape_isa::{
         assemble, ClassicalOp, Cond, CondOp, Cycles, Gate1, Gate2, Instruction, Program,

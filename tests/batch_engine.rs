@@ -62,7 +62,7 @@ fn adjacent_base_seeds_give_different_aggregates() {
 }
 
 /// Every shot of a batch behaves exactly like the same seeds pushed
-/// through the single-shot `Machine` wrapper.
+/// through single full-report shots.
 #[test]
 fn batch_shots_match_manual_machine_runs() {
     let job = simrb_job(8, 3);
@@ -93,8 +93,9 @@ fn batch_shots_match_manual_machine_runs() {
             },
             seed,
         );
-        let run = Machine::new(QuapeConfig::superscalar(8), program.clone(), Box::new(qpu))
+        let run = CompiledJob::compile(QuapeConfig::superscalar(8), program.clone())
             .expect("machine builds")
+            .shot(Box::new(qpu), 0)
             .run();
         let first = run
             .measurements

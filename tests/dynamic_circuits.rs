@@ -51,8 +51,9 @@ fn teleportation_preserves_the_state() {
         for seed in 0..runs as u64 {
             let program = measuring_teleportation(theta);
             let cfg = QuapeConfig::superscalar(8).with_seed(seed);
-            let report = Machine::new(cfg.clone(), program, noiseless(seed, &cfg, 3))
+            let report = CompiledJob::compile(cfg.clone(), program)
                 .expect("builds")
+                .shot(noiseless(seed, &cfg, 3), cfg.seed)
                 .run();
             assert_eq!(
                 report.stop,
@@ -84,8 +85,9 @@ fn teleportation_exercises_all_correction_paths() {
     for seed in 0..80u64 {
         let program = measuring_teleportation(1.0);
         let cfg = QuapeConfig::superscalar(8).with_seed(seed);
-        let report = Machine::new(cfg.clone(), program, noiseless(seed, &cfg, 3))
+        let report = CompiledJob::compile(cfg.clone(), program)
             .expect("builds")
+            .shot(noiseless(seed, &cfg, 3), cfg.seed)
             .run();
         let m_source = report
             .measurements
@@ -122,13 +124,10 @@ fn ipe_recovers_every_3bit_phase() {
         };
         let program = iterative_phase_estimation(cfg_ipe).expect("valid program");
         let cfg = QuapeConfig::superscalar(8).with_seed(u64::from(numerator));
-        let report = Machine::new(
-            cfg.clone(),
-            program,
-            noiseless(u64::from(numerator), &cfg, 2),
-        )
-        .expect("builds")
-        .run_with_limit(1_000_000);
+        let report = CompiledJob::compile(cfg.clone(), program)
+            .expect("builds")
+            .shot(noiseless(u64::from(numerator), &cfg, 2), cfg.seed)
+            .run_with_limit(1_000_000);
         assert_eq!(report.stop, StopReason::Completed, "φ = {numerator}/8");
         // Bits arrive LSB-first in the measurement record; reconstruct.
         let bits: Vec<bool> = report.measurements.iter().map(|m| m.value).collect();
@@ -157,13 +156,10 @@ fn ipe_recovers_4bit_phases() {
         };
         let program = iterative_phase_estimation(cfg_ipe).expect("valid program");
         let cfg = QuapeConfig::superscalar(8).with_seed(u64::from(numerator) + 100);
-        let report = Machine::new(
-            cfg.clone(),
-            program,
-            noiseless(u64::from(numerator), &cfg, 2),
-        )
-        .expect("builds")
-        .run_with_limit(1_000_000);
+        let report = CompiledJob::compile(cfg.clone(), program)
+            .expect("builds")
+            .shot(noiseless(u64::from(numerator), &cfg, 2), cfg.seed)
+            .run_with_limit(1_000_000);
         assert_eq!(report.stop, StopReason::Completed);
         let estimate: u8 = report
             .measurements
@@ -188,8 +184,9 @@ fn multiprogrammed_teleportations_both_work() {
     let combined = combine(&[a, b]).expect("combines");
     for seed in 0..20u64 {
         let cfg = QuapeConfig::multiprocessor(2).with_seed(seed);
-        let report = Machine::new(cfg.clone(), combined.clone(), noiseless(seed, &cfg, 6))
+        let report = CompiledJob::compile(cfg.clone(), combined.clone())
             .expect("builds")
+            .shot(noiseless(seed, &cfg, 6), cfg.seed)
             .run();
         assert_eq!(report.stop, StopReason::Completed);
         // Task 0's target is q2 (must read 1), task 1's is q5 (must read 0).

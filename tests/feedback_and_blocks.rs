@@ -14,8 +14,9 @@ fn rus_terminates_for_every_seed() {
             MeasurementModel::Bernoulli { p_one: 0.6 },
             seed,
         );
-        let report = Machine::new(cfg, program.clone(), Box::new(qpu))
+        let report = CompiledJob::compile(cfg, program.clone())
             .expect("machine builds")
+            .shot(Box::new(qpu), seed)
             .run_with_limit(1_000_000);
         assert_eq!(report.stop, StopReason::Completed, "seed {seed}");
         // The loop exits exactly when a 0 is measured.
@@ -33,8 +34,9 @@ fn fmr_and_mrce_feedback_agree_on_outcome() {
         let run = |program: Program| {
             let cfg = QuapeConfig::uniprocessor().with_seed(3);
             let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::Bernoulli { p_one }, 3);
-            let report = Machine::new(cfg, program, Box::new(qpu))
+            let report = CompiledJob::compile(cfg, program)
                 .expect("machine builds")
+                .shot(Box::new(qpu), 3)
                 .run();
             report
                 .issued
@@ -53,8 +55,9 @@ fn mrce_is_never_slower_than_fmr_feedback() {
     let run = |program: Program| {
         let cfg = QuapeConfig::uniprocessor().with_seed(4);
         let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysOne, 4);
-        Machine::new(cfg, program, Box::new(qpu))
+        CompiledJob::compile(cfg, program)
             .expect("machine builds")
+            .shot(Box::new(qpu), 4)
             .run()
             .cycles
     };
@@ -77,8 +80,9 @@ fn parallel_rus_is_faster_on_two_processors() {
                 MeasurementModel::Bernoulli { p_one: 0.5 },
                 seed,
             );
-            total += Machine::new(cfg, program.clone(), Box::new(qpu))
+            total += CompiledJob::compile(cfg, program.clone())
                 .expect("machine builds")
+                .shot(Box::new(qpu), seed)
                 .run_with_limit(1_000_000)
                 .execution_time_ns();
         }
@@ -97,8 +101,9 @@ fn shor_blocks_all_complete_exactly_once() {
     let w = ShorSyndrome::generate(ShorSyndromeConfig::default()).expect("generates");
     let cfg = QuapeConfig::multiprocessor(4).with_seed(2);
     let qpu = BehavioralQpu::new(cfg.timings, ShorSyndrome::measurement_model(0.25), 2);
-    let report = Machine::new(cfg, w.program.clone(), Box::new(qpu))
+    let report = CompiledJob::compile(cfg, w.program.clone())
         .expect("machine builds")
+        .shot(Box::new(qpu), 2)
         .run_with_limit(2_000_000);
     assert_eq!(report.stop, StopReason::Completed);
     for (id, info) in w.program.blocks().iter() {
@@ -120,8 +125,9 @@ fn shor_priorities_never_invert() {
     let w = ShorSyndrome::generate(ShorSyndromeConfig::default()).expect("generates");
     let cfg = QuapeConfig::multiprocessor(6).with_seed(8);
     let qpu = BehavioralQpu::new(cfg.timings, ShorSyndrome::measurement_model(0.1), 8);
-    let report = Machine::new(cfg, w.program.clone(), Box::new(qpu))
+    let report = CompiledJob::compile(cfg, w.program.clone())
         .expect("machine builds")
+        .shot(Box::new(qpu), 8)
         .run_with_limit(2_000_000);
     assert_eq!(report.stop, StopReason::Completed);
 
@@ -170,8 +176,9 @@ fn six_processors_beat_one_on_shor() {
         for seed in 0..25 {
             let cfg = QuapeConfig::multiprocessor(n).with_seed(seed);
             let qpu = BehavioralQpu::new(cfg.timings, ShorSyndrome::measurement_model(0.25), seed);
-            total += Machine::new(cfg, w.program.clone(), Box::new(qpu))
+            total += CompiledJob::compile(cfg, w.program.clone())
                 .expect("machine builds")
+                .shot(Box::new(qpu), seed)
                 .run_with_limit(2_000_000)
                 .execution_time_ns();
         }

@@ -23,8 +23,9 @@ fn every_benchmark_runs_on_every_config() {
             QuapeConfig::superscalar(8),
             QuapeConfig::multiprocessor(2),
         ] {
-            let report = Machine::new(cfg.clone(), program.clone(), behavioral(&cfg, 3))
+            let report = CompiledJob::compile(cfg.clone(), program.clone())
                 .expect("machine builds")
+                .shot(behavioral(&cfg, 3), cfg.seed)
                 .run();
             assert_eq!(report.stop, StopReason::Completed, "{}", bench.name);
             assert_eq!(
@@ -45,8 +46,9 @@ fn compiled_schedules_are_physically_clean_on_the_superscalar() {
     for bench in benchmark_suite() {
         let program = compiler.compile(&bench.circuit).expect("compiles");
         let cfg = QuapeConfig::superscalar(8);
-        let report = Machine::new(cfg.clone(), program, behavioral(&cfg, 5))
+        let report = CompiledJob::compile(cfg.clone(), program)
             .expect("machine builds")
+            .shot(behavioral(&cfg, 5), cfg.seed)
             .run();
         assert!(
             report.violations.is_empty(),
@@ -70,8 +72,9 @@ fn binary_roundtrip_preserves_machine_behaviour() {
 
     let run = |p: Program| {
         let cfg = QuapeConfig::superscalar(8);
-        let report = Machine::new(cfg.clone(), p, behavioral(&cfg, 9))
+        let report = CompiledJob::compile(cfg.clone(), p)
             .expect("machine builds")
+            .shot(behavioral(&cfg, 9), cfg.seed)
             .run();
         report
             .issued
@@ -91,8 +94,9 @@ fn stack_is_deterministic() {
     let run = || {
         let cfg = QuapeConfig::multiprocessor(4).with_seed(21);
         let qpu = BehavioralQpu::new(cfg.timings, ShorSyndrome::measurement_model(0.25), 21);
-        let report = Machine::new(cfg, w.program.clone(), Box::new(qpu))
+        let report = CompiledJob::compile(cfg, w.program.clone())
             .expect("machine builds")
+            .shot(Box::new(qpu), 21)
             .run_with_limit(2_000_000);
         (
             report.cycles,
@@ -137,8 +141,9 @@ fn multiprocessor_preserves_issued_multiset() {
     let (program, _) = partition_two_blocks(&compiler, &bench.circuit).expect("partitions");
     let issued = |n: usize| {
         let cfg = QuapeConfig::multiprocessor(n);
-        let report = Machine::new(cfg.clone(), program.clone(), behavioral(&cfg, 13))
+        let report = CompiledJob::compile(cfg.clone(), program.clone())
             .expect("machine builds")
+            .shot(behavioral(&cfg, 13), cfg.seed)
             .run();
         assert_eq!(report.stop, StopReason::Completed);
         let mut v: Vec<String> = report.issued.iter().map(|o| o.op.to_string()).collect();
@@ -157,8 +162,9 @@ fn ces_accounting_is_consistent() {
         let program = compiler.compile(&bench.circuit).expect("compiles");
         let steps_expected = program.num_steps();
         let cfg = QuapeConfig::superscalar(8);
-        let report = Machine::new(cfg.clone(), program, behavioral(&cfg, 1))
+        let report = CompiledJob::compile(cfg.clone(), program)
             .expect("machine builds")
+            .shot(behavioral(&cfg, 1), cfg.seed)
             .run();
         let ces = ces_report_paper(&report);
         assert_eq!(ces.steps.len(), steps_expected, "{} lost steps", bench.name);

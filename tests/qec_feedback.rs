@@ -19,8 +19,9 @@ fn run_qec(cfg: QecConfig, seed: u64) -> RunReport {
         ReadoutError::default(),
         seed,
     );
-    Machine::new(mcfg, program, Box::new(qpu))
+    CompiledJob::compile(mcfg, program)
         .expect("builds")
+        .shot(Box::new(qpu), seed)
         .run_with_limit(1_000_000)
 }
 

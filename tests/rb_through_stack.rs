@@ -25,8 +25,9 @@ fn noiseless_rb_through_stack_survives() {
         let w = rb_program(&group, 0, 24, seed).expect("valid program");
         assert!(composes_to_identity(&group, &w.program, 0));
         let cfg = QuapeConfig::superscalar(8).with_seed(seed);
-        let report = Machine::new(cfg.clone(), w.program, noiseless_qpu(seed, &cfg))
+        let report = CompiledJob::compile(cfg.clone(), w.program)
             .expect("machine builds")
+            .shot(noiseless_qpu(seed, &cfg), cfg.seed)
             .run();
         assert_eq!(report.stop, StopReason::Completed, "seed {seed}");
         let outcome = report.measurements.first().expect("measured");
@@ -43,8 +44,9 @@ fn noiseless_simrb_through_stack_survives_on_both_qubits() {
     for seed in 0..6 {
         let program = simrb_program(&group, 0, 1, 16, seed).expect("valid program");
         let cfg = QuapeConfig::superscalar(8).with_seed(seed);
-        let report = Machine::new(cfg.clone(), program, noiseless_qpu(seed, &cfg))
+        let report = CompiledJob::compile(cfg.clone(), program)
             .expect("machine builds")
+            .shot(noiseless_qpu(seed, &cfg), cfg.seed)
             .run();
         assert_eq!(report.stop, StopReason::Completed);
         assert!(
@@ -80,8 +82,9 @@ fn noisy_rb_through_stack_decays() {
                 ReadoutError::default(),
                 seed ^ 0xf00,
             ));
-            let report = Machine::new(cfg, w.program, qpu)
+            let report = CompiledJob::compile(cfg, w.program)
                 .expect("machine builds")
+                .shot(qpu, seed)
                 .run();
             if !report.measurements.first().expect("measured").value {
                 survive += 1;
@@ -109,8 +112,9 @@ fn simrb_layers_issue_simultaneously() {
     let group = CliffordGroup::new();
     let program = simrb_program(&group, 0, 1, 12, 5).expect("valid program");
     let cfg = QuapeConfig::superscalar(8).with_seed(5);
-    let report = Machine::new(cfg.clone(), program, noiseless_qpu(5, &cfg))
+    let report = CompiledJob::compile(cfg.clone(), program)
         .expect("machine builds")
+        .shot(noiseless_qpu(5, &cfg), cfg.seed)
         .run();
     // For every timestamp with a q1 pulse in the gate stream, q0 also has
     // one (layers are padded to the longer decomposition, so check

@@ -18,11 +18,10 @@ use quape::workloads::qec::{repetition_code_program, QecConfig};
 /// cross-checks the AWG's qubit-occupancy view against the QPU shadow
 /// model (the device must rediscover exactly the violations the QPU sees).
 fn assert_modes_agree(cfg: &QuapeConfig, program: &Program, model: MeasurementModel, limit: u64) {
+    let job = CompiledJob::compile(cfg.clone(), program.clone()).expect("machine builds");
     let run = |mode: StepMode| {
         let qpu = BehavioralQpu::new(cfg.timings, model.clone(), cfg.seed);
-        Machine::new(cfg.clone(), program.clone(), Box::new(qpu))
-            .expect("machine builds")
-            .run_with_mode(mode, limit)
+        job.shot(Box::new(qpu), cfg.seed).run_with_mode(mode, limit)
     };
     let cycle = run(StepMode::Cycle);
     let event = run(StepMode::EventDriven);
@@ -228,8 +227,9 @@ fn multiplexed_readout_daq_contention_modes_agree() {
     })
     .expect("valid workload");
     let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 0);
-    let report = Machine::new(cfg, program, Box::new(qpu))
+    let report = CompiledJob::compile(cfg, program)
         .expect("machine builds")
+        .shot(Box::new(qpu), 0)
         .run();
     assert!(
         report.stats.daq_contended_results > 0,
@@ -255,13 +255,11 @@ fn cycle_limit_stall_modes_agree() {
     b.fmr(0, 0);
     b.push(ClassicalOp::Stop);
     let program = b.finish().expect("valid program");
-    let cfg = QuapeConfig::uniprocessor().with_seed(1);
+    let job = CompiledJob::compile(QuapeConfig::uniprocessor(), program).expect("machine builds");
     for limit in [100, 5_000, 100_000] {
         let run = |mode: StepMode| {
-            let qpu = BehavioralQpu::new(cfg.timings, MeasurementModel::AlwaysZero, 1);
-            Machine::new(cfg.clone(), program.clone(), Box::new(qpu))
-                .expect("machine builds")
-                .run_with_mode(mode, limit)
+            let qpu = BehavioralQpu::new(job.cfg().timings, MeasurementModel::AlwaysZero, 1);
+            job.shot(Box::new(qpu), 1).run_with_mode(mode, limit)
         };
         let cycle = run(StepMode::Cycle);
         let event = run(StepMode::EventDriven);
