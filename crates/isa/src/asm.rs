@@ -734,6 +734,103 @@ STOP
     }
 
     #[test]
+    fn arity_errors_count_every_operand() {
+        // More operands than any instruction takes: the count is still
+        // the true one, not a capped one.
+        let err = assemble("MOV r1, r2, r3, r4, r5\n").unwrap_err();
+        assert_eq!(err.message, "MOV expects 2 operand(s), got 5");
+        let err = assemble("mrce q0, q1, X, NONE, X\n").unwrap_err();
+        assert_eq!(err.message, "MRCE expects 4 operand(s), got 5");
+        let err = assemble("0 H q0, q1, q2, q3, q4\n").unwrap_err();
+        assert_eq!(err.message, "expected one operand, got 5");
+        let err = assemble("0 cnot q0, q1, q2, q3, q4\n").unwrap_err();
+        assert_eq!(err.message, "cnot requires two qubit operands");
+        // Empty operands between commas are skipped, as before.
+        assert!(assemble("MOV r1,, r2\n").is_ok());
+    }
+
+    #[test]
+    fn mnemonics_are_case_insensitive_and_errors_keep_their_text() {
+        let p = assemble("0 rx[8] Q0\n0 measure q1\nfmr R0, q1\nqwait 300\nstop\n").unwrap();
+        assert_eq!(
+            p.to_string(),
+            "    0 RX[8] q0\n    0 MEAS q1\n    FMR r0, q1\n    QWAIT 300\n    STOP\n"
+        );
+        let err = assemble("frobnicated r1\n").unwrap_err();
+        assert_eq!(err.message, "unknown mnemonic `FROBNICATED`");
+        let err = assemble("0 teleportation q0\n").unwrap_err();
+        assert_eq!(err.message, "unknown quantum mnemonic `teleportation`");
+        let err = assemble("0 rx[32] q0\n").unwrap_err();
+        assert_eq!(err.message, "rotation index 32 out of range");
+        let err = assemble("0 Ry[x] q0\n").unwrap_err();
+        assert_eq!(err.message, "bad rotation index in `Ry[x]`");
+        // Leading zeros in a rotation index parse as before.
+        assert_eq!(
+            assemble("0 RZ[0000000007] q0\n")
+                .unwrap()
+                .instruction(0)
+                .to_string(),
+            "0 RZ[7] q0"
+        );
+    }
+
+    #[test]
+    fn scan_skips_comments_and_reads_either_case() {
+        assert_eq!(scan_qubit_count("0 H q0 # q9\n"), 1);
+        assert_eq!(scan_qubit_count("0 H q1 ; q7\n"), 2);
+        assert_eq!(scan_qubit_count("# q9\n; q8\n0 H q2\n"), 3);
+        assert_eq!(scan_qubit_count("0 H Q5\n"), 6);
+        assert_eq!(scan_qubit_count("1 CNOT Q2, q3\n"), 4);
+        // A comment ends at its line: the next line counts.
+        assert_eq!(scan_qubit_count("0 H q0 # q9\n0 H q4\n"), 5);
+    }
+
+    #[test]
+    fn scan_counts_only_whole_q_tokens() {
+        for text in [
+            "0 H _q1\n",
+            "0 H xq1\n",
+            "0 H q1x\n",
+            "0 H q\n",
+            "0 H q_1\n",
+        ] {
+            assert_eq!(scan_qubit_count(text), 0, "{text:?}");
+        }
+        assert_eq!(scan_qubit_count("0 H q1x, q2\n"), 3);
+        assert_eq!(scan_qubit_count("q1q2\n"), 0);
+        assert_eq!(scan_qubit_count("(q3)\n"), 4);
+        assert_eq!(scan_qubit_count("0 H q0007\n"), 8);
+        assert_eq!(scan_qubit_count(""), 0);
+        assert_eq!(scan_qubit_count("\n\n"), 0);
+    }
+
+    #[test]
+    fn scan_saturates_and_ignores_oversized_indices() {
+        // The counting rule saturates at u16::MAX.
+        assert_eq!(scan_qubit_count("0 H q65535\n"), 65535);
+        assert_eq!(scan_qubit_count("0 H q65534\n"), 65535);
+        // Tokens beyond u16 do not count, and do not overflow.
+        assert_eq!(scan_qubit_count("0 H q65536\n"), 0);
+        let forty = format!("0 H q{}\n", "9".repeat(40));
+        assert_eq!(scan_qubit_count(&forty), 0);
+        let forty_with_small = format!("0 H q{}, q3\n", "1".repeat(40));
+        assert_eq!(scan_qubit_count(&forty_with_small), 4);
+        // Leading zeros never overflow either.
+        let zeros = format!("0 H q{}5\n", "0".repeat(40));
+        assert_eq!(scan_qubit_count(&zeros), 6);
+    }
+
+    #[test]
+    fn scan_reads_crlf_and_tabs() {
+        assert_eq!(scan_qubit_count("0 H q3\r\n1 MEAS q1\r\n"), 4);
+        assert_eq!(scan_qubit_count("0\tH\tq2\n1\tCNOT\tq0,\tq6\n"), 7);
+        assert_eq!(scan_qubit_count("0 H q1 # c\r\n0 H q4\r\n"), 5);
+        // A lone carriage return separates tokens but not lines.
+        assert_eq!(scan_qubit_count("0 H q2\rq5\n"), 6);
+        assert_eq!(scan_qubit_count("# c\rq5\n0 H q1\n"), 2);
+    }
+
+    #[test]
     fn unknown_dependency_reported() {
         let err = assemble(".block w2 deps=w1\n0 H q0\n.endblock\n").unwrap_err();
         assert!(err.message.contains("unknown dependency"));
