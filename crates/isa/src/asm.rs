@@ -97,13 +97,17 @@ fn strip_comment(line: &str) -> &str {
 /// assembling it. A capability-aware placement layer uses this to match
 /// a wire-format request against per-shard qubit capacities before
 /// paying for a parse (requests are only assembled on compile-cache
-/// misses, and the scan must not change that).
+/// misses, and the scan must not change that). The router runs it on
+/// every text request, cache hits included, so it is one pass over the
+/// bytes that allocates nothing.
 ///
 /// The scan is a heuristic twin of [`Program::num_qubits`] — both reduce
 /// their qubit references with the one audited counting rule,
-/// [`qubit_span`](crate::qubit_span). A token counts when `q` starts at
-/// a word boundary, is followed by digits only up to the next
-/// non-alphanumeric character, and the line is not a comment. On text
+/// [`qubit_span`](crate::qubit_span). A token counts when `q` or `Q`
+/// starts at a word boundary (not after a letter, digit or `_`), is
+/// followed by digits only up to the next byte that is not a letter,
+/// digit or `_`, lies before any `#` or `;` on its line, and its digits
+/// fit a `u16` (longer ones are skipped, never overflowed). On text
 /// produced by [`Program`]'s display (the round-trip format every
 /// generator in this workspace emits) it is exact; on hand-written text
 /// a `q`-prefixed label could over-count, which errs toward *rejecting*
@@ -115,37 +119,41 @@ fn strip_comment(line: &str) -> &str {
 /// assert_eq!(scan_qubit_count("STOP\n"), 0);
 /// ```
 pub fn scan_qubit_count(source: &str) -> u16 {
-    crate::qubit_span(source.lines().flat_map(scan_line_qubit_indices))
-}
-
-/// The qubit indices a single line of wire text references, lexically:
-/// every word-boundary `q<digits>` token outside a comment.
-fn scan_line_qubit_indices(raw: &str) -> Vec<u16> {
-    let line = strip_comment(raw);
-    let bytes = line.as_bytes();
-    let mut indices = Vec::new();
+    let bytes = source.as_bytes();
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut i = 0;
-    while i < bytes.len() {
-        let at_boundary = i == 0 || !bytes[i - 1].is_ascii_alphanumeric() && bytes[i - 1] != b'_';
-        if at_boundary && (bytes[i] == b'q' || bytes[i] == b'Q') {
-            let start = i + 1;
-            let mut end = start;
-            while end < bytes.len() && bytes[end].is_ascii_digit() {
-                end += 1;
-            }
-            let terminated =
-                end == bytes.len() || !bytes[end].is_ascii_alphanumeric() && bytes[end] != b'_';
-            if end > start && terminated {
-                if let Ok(index) = line[start..end].parse::<u16>() {
-                    indices.push(index);
+    crate::qubit_span(std::iter::from_fn(|| {
+        while i < bytes.len() {
+            match bytes[i] {
+                // A comment runs to the end of its line.
+                b'#' | b';' => {
+                    i += bytes[i..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .unwrap_or(bytes.len() - i);
                 }
+                b'q' | b'Q' if i == 0 || !word(bytes[i - 1]) => {
+                    let start = i + 1;
+                    i = start;
+                    // Saturates one past `u16::MAX`, so a 40-digit token
+                    // neither overflows nor counts.
+                    let mut index = 0u32;
+                    while i < bytes.len() && bytes[i].is_ascii_digit() {
+                        index = (index * 10 + u32::from(bytes[i] - b'0')).min(1 << 16);
+                        i += 1;
+                    }
+                    let terminated = i == bytes.len() || !word(bytes[i]);
+                    if i > start && terminated {
+                        if let Ok(index) = u16::try_from(index) {
+                            return Some(index);
+                        }
+                    }
+                }
+                _ => i += 1,
             }
-            i = end;
-        } else {
-            i += 1;
         }
-    }
-    indices
+        None
+    }))
 }
 
 fn parse_line(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<(), AsmError> {
@@ -246,7 +254,7 @@ fn parse_instruction(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<()
         b.push(Instruction::quantum(timing, op));
         return Ok(());
     }
-    parse_classical(b, &head.to_ascii_uppercase(), rest.trim(), no)
+    parse_classical(b, head, rest.trim(), no)
 }
 
 fn split_head(line: &str) -> (&str, &str) {
@@ -256,11 +264,59 @@ fn split_head(line: &str) -> (&str, &str) {
     }
 }
 
-fn operands(rest: &str) -> Vec<&str> {
-    rest.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
+/// Longest mnemonic the assembler knows (`MEASURE`), rounded up: a
+/// longer head matches none, so uppercasing one never needs the heap.
+const MNEMONIC_CAP: usize = 8;
+
+/// `head` uppercased into `buf`, or `""` (which no mnemonic equals) when
+/// it is longer than any mnemonic.
+fn uppercase<'b>(head: &str, buf: &'b mut [u8; MNEMONIC_CAP]) -> &'b str {
+    let Some(dst) = buf.get_mut(..head.len()) else {
+        return "";
+    };
+    dst.copy_from_slice(head.as_bytes());
+    dst.make_ascii_uppercase();
+    // ASCII case mapping keeps UTF-8 valid, so this never falls back.
+    std::str::from_utf8(dst).unwrap_or("")
+}
+
+/// Most operands any instruction takes (`MRCE`).
+const MAX_OPERANDS: usize = 4;
+
+/// The non-empty, trimmed, comma-separated operands of an instruction,
+/// held inline. `len` counts every operand, including any past
+/// [`MAX_OPERANDS`], so an arity error reports the true count.
+struct Operands<'a> {
+    slots: [&'a str; MAX_OPERANDS],
+    len: usize,
+}
+
+impl<'a> Operands<'a> {
+    fn parse(rest: &'a str) -> Self {
+        let mut ops = Operands {
+            slots: [""; MAX_OPERANDS],
+            len: 0,
+        };
+        for tok in rest.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+            if let Some(slot) = ops.slots.get_mut(ops.len) {
+                *slot = tok;
+            }
+            ops.len += 1;
+        }
+        ops
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl<'a> std::ops::Index<usize> for Operands<'a> {
+    type Output = &'a str;
+
+    fn index(&self, i: usize) -> &&'a str {
+        &self.slots[..self.len.min(MAX_OPERANDS)][i]
+    }
 }
 
 fn parse_qubit(tok: &str, no: usize) -> Result<Qubit, AsmError> {
@@ -296,17 +352,22 @@ fn parse_imm(tok: &str, no: usize) -> Result<i16, AsmError> {
 
 fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
     let (mnem, ops_text) = split_head(rest);
-    let mnem_upper = mnem.to_ascii_uppercase();
-    let ops = operands(ops_text);
+    let ops = Operands::parse(ops_text);
 
-    // Rotations: RX[k] / RY[k] / RZ[k].
-    if let Some(idx_part) = mnem_upper
-        .strip_prefix("RX[")
-        .or_else(|| mnem_upper.strip_prefix("RY["))
-        .or_else(|| mnem_upper.strip_prefix("RZ["))
-    {
-        let axis = &mnem_upper[..2];
-        let k: u8 = idx_part
+    // Rotations: RX[k] / RY[k] / RZ[k]. The index is read from the text
+    // as written (case does not touch digits), so it may be any length.
+    let rotation: Option<fn(Angle) -> Gate1> = match mnem.as_bytes() {
+        [r, axis, b'[', ..] if r.eq_ignore_ascii_case(&b'r') => match axis.to_ascii_uppercase() {
+            b'X' => Some(Gate1::Rx),
+            b'Y' => Some(Gate1::Ry),
+            b'Z' => Some(Gate1::Rz),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(rotation) = rotation {
+        // The first three bytes are ASCII, so byte 3 starts a char.
+        let k: u8 = mnem[3..]
             .strip_suffix(']')
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| AsmError::new(no, format!("bad rotation index in `{mnem}`")))?;
@@ -316,16 +377,16 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
                 format!("rotation index {k} out of range"),
             ));
         }
-        let gate = match axis {
-            "RX" => Gate1::Rx(Angle::new(k)),
-            "RY" => Gate1::Ry(Angle::new(k)),
-            _ => Gate1::Rz(Angle::new(k)),
-        };
         let q = single_operand(&ops, no)?;
-        return Ok(QuantumOp::Gate1(gate, parse_qubit(q, no)?));
+        return Ok(QuantumOp::Gate1(
+            rotation(Angle::new(k)),
+            parse_qubit(q, no)?,
+        ));
     }
 
-    let gate1 = match mnem_upper.as_str() {
+    let mut buf = [0; MNEMONIC_CAP];
+    let mnem_upper = uppercase(mnem, &mut buf);
+    let gate1 = match mnem_upper {
         "I" => Some(Gate1::I),
         "X" => Some(Gate1::X),
         "Y" => Some(Gate1::Y),
@@ -347,7 +408,7 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
         return Ok(QuantumOp::Gate1(g, parse_qubit(q, no)?));
     }
 
-    let gate2 = match mnem_upper.as_str() {
+    let gate2 = match mnem_upper {
         "CNOT" => Some(Gate2::Cnot),
         "CZ" => Some(Gate2::Cz),
         "SWAP" => Some(Gate2::Swap),
@@ -378,7 +439,7 @@ fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
     ))
 }
 
-fn single_operand<'a>(ops: &[&'a str], no: usize) -> Result<&'a str, AsmError> {
+fn single_operand<'a>(ops: &Operands<'a>, no: usize) -> Result<&'a str, AsmError> {
     if ops.len() == 1 {
         Ok(ops[0])
     } else {
@@ -439,11 +500,13 @@ fn parse_target(
 
 fn parse_classical(
     b: &mut ProgramBuilder,
-    mnem: &str,
+    head: &str,
     rest: &str,
     no: usize,
 ) -> Result<(), AsmError> {
-    let ops = operands(rest);
+    let mut buf = [0; MNEMONIC_CAP];
+    let mnem = uppercase(head, &mut buf);
+    let ops = Operands::parse(rest);
     let wrong_arity = |n: usize| {
         AsmError::new(
             no,
@@ -601,7 +664,12 @@ fn parse_classical(
                 op_if_zero: parse_condop(ops[3], no)?,
             });
         }
-        other => return Err(AsmError::new(no, format!("unknown mnemonic `{other}`"))),
+        _ => {
+            return Err(AsmError::new(
+                no,
+                format!("unknown mnemonic `{}`", head.to_ascii_uppercase()),
+            ))
+        }
     }
     Ok(())
 }

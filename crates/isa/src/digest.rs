@@ -7,10 +7,19 @@
 //! [`Program::digest`](crate::Program::digest) walks every part of a
 //! program that affects execution: the instruction stream, the block
 //! information table, and the instruction→step map.
+//!
+//! The digest reads each instruction's fields directly — a one-byte
+//! variant tag followed by the operand integers at their natural width —
+//! so it never formats a program and never touches the heap. Every tag
+//! fixes the length of the record that follows it, which makes the byte
+//! stream (and so the digest, as FNV-1a is a bijection per byte) change
+//! whenever any single field does.
 
 use crate::block::Dependency;
-use crate::instruction::Instruction;
+use crate::gate::Gate1;
+use crate::instruction::{ClassicalOp, Instruction, QuantumOp};
 use crate::program::Program;
+use crate::types::Reg;
 use std::fmt;
 
 /// Incremental FNV-1a 64-bit hasher.
@@ -41,6 +50,11 @@ impl Fnv64 {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
         self
+    }
+
+    /// Absorbs a `u16` (little-endian).
+    pub fn write_u16(&mut self, v: u16) -> &mut Self {
+        self.write(&v.to_le_bytes())
     }
 
     /// Absorbs a `u32` (little-endian).
@@ -142,28 +156,18 @@ impl fmt::Display for ProgramDigest {
 }
 
 impl Program {
-    /// Computes the program's stable content digest: instructions (via
-    /// their canonical display form, which round-trips through the
-    /// assembler), block-table entries (name, range, dependency), and the
+    /// Computes the program's stable content digest: instructions (a
+    /// variant tag plus every operand field, see the module docs),
+    /// block-table entries (name, range, dependency), and the
     /// instruction→step map. Two programs built independently but
-    /// structurally equal hash identically, across processes and runs.
+    /// structurally equal hash identically, across processes and runs —
+    /// in particular a program and the program its display text
+    /// assembles back to. One pass over the program, no allocation.
     pub fn digest(&self) -> ProgramDigest {
         let mut h = Fnv64::new();
         h.write_u64(self.len() as u64);
         for instr in self.instructions() {
-            match instr {
-                // The display form is total (encoding can fail; printing
-                // cannot) and uniquely determines the instruction — the
-                // assembler parses it back to an equal value.
-                Instruction::Quantum(q) => {
-                    h.write_u32(1).write_u32(q.timing.count());
-                    h.write_str(&q.op.to_string());
-                }
-                Instruction::Classical(op) => {
-                    h.write_u32(2);
-                    h.write_str(&op.to_string());
-                }
-            }
+            write_instruction(&mut h, instr);
         }
         h.write_u64(self.blocks().len() as u64);
         for (_, info) in self.blocks().iter() {
@@ -183,11 +187,104 @@ impl Program {
         }
         for step in self.step_map() {
             match step {
-                None => h.write_u32(0),
-                Some(s) => h.write_u32(1).write_u32(s.0),
+                None => h.write(&[0]),
+                Some(s) => h.write(&[1]).write_u32(s.0),
             };
         }
         ProgramDigest(h.finish())
+    }
+}
+
+/// Absorbs one instruction: a tag naming its variant, then each operand
+/// as an integer (qubits as `u16`, registers and enum codes as `u8`,
+/// timings, targets and cycles as `u32`, immediates as `i16`).
+fn write_instruction(h: &mut Fnv64, instr: &Instruction) {
+    match *instr {
+        Instruction::Quantum(q) => {
+            match q.op {
+                QuantumOp::Gate1(g, q) => h
+                    .write(&[0, gate1_code(g), rotation_index(g)])
+                    .write_u16(q.index()),
+                QuantumOp::Gate2(g, c, t) => h
+                    .write(&[1, g as u8])
+                    .write_u16(c.index())
+                    .write_u16(t.index()),
+                QuantumOp::Measure(q) => h.write(&[2]).write_u16(q.index()),
+            };
+            h.write_u32(q.timing.count());
+        }
+        Instruction::Classical(op) => write_classical(h, op),
+    }
+}
+
+fn write_classical(h: &mut Fnv64, op: ClassicalOp) {
+    let reg3 = |tag: u8, rd: Reg, rs1: Reg, rs2: Reg| [tag, rd.index(), rs1.index(), rs2.index()];
+    match op {
+        ClassicalOp::Nop => h.write(&[3]),
+        ClassicalOp::Stop => h.write(&[4]),
+        ClassicalOp::Halt => h.write(&[5]),
+        ClassicalOp::Ret => h.write(&[6]),
+        ClassicalOp::Jmp { target } => h.write(&[7]).write_u32(target),
+        ClassicalOp::Br { cond, target } => h.write(&[8, cond as u8]).write_u32(target),
+        ClassicalOp::Call { target } => h.write(&[9]).write_u32(target),
+        ClassicalOp::Ldi { rd, imm } => h.write(&[10, rd.index()]).write(&imm.to_le_bytes()),
+        ClassicalOp::Mov { rd, rs } => h.write(&[11, rd.index(), rs.index()]),
+        ClassicalOp::Add { rd, rs1, rs2 } => h.write(&reg3(12, rd, rs1, rs2)),
+        ClassicalOp::Sub { rd, rs1, rs2 } => h.write(&reg3(13, rd, rs1, rs2)),
+        ClassicalOp::And { rd, rs1, rs2 } => h.write(&reg3(14, rd, rs1, rs2)),
+        ClassicalOp::Or { rd, rs1, rs2 } => h.write(&reg3(15, rd, rs1, rs2)),
+        ClassicalOp::Xor { rd, rs1, rs2 } => h.write(&reg3(16, rd, rs1, rs2)),
+        ClassicalOp::Addi { rd, rs, imm } => h
+            .write(&[17, rd.index(), rs.index()])
+            .write(&imm.to_le_bytes()),
+        ClassicalOp::Not { rd, rs } => h.write(&[18, rd.index(), rs.index()]),
+        ClassicalOp::Cmp { rs1, rs2 } => h.write(&[19, rs1.index(), rs2.index()]),
+        ClassicalOp::Cmpi { rs, imm } => h.write(&[20, rs.index()]).write(&imm.to_le_bytes()),
+        ClassicalOp::Fmr { rd, qubit } => h.write(&[21, rd.index()]).write_u16(qubit.index()),
+        ClassicalOp::Qwait { cycles } => h.write(&[22]).write_u32(cycles.count()),
+        ClassicalOp::Lds { rd, sreg } => h.write(&[23, rd.index(), sreg.index()]),
+        ClassicalOp::Sts { sreg, rs } => h.write(&[24, sreg.index(), rs.index()]),
+        ClassicalOp::Mrce {
+            qubit,
+            target,
+            op_if_one,
+            op_if_zero,
+        } => h
+            .write(&[25, op_if_one as u8, op_if_zero as u8])
+            .write_u16(qubit.index())
+            .write_u16(target.index()),
+    };
+}
+
+/// The variant code of a single-qubit gate (its rotation index, if any,
+/// is a separate field: [`rotation_index`]).
+fn gate1_code(g: Gate1) -> u8 {
+    match g {
+        Gate1::I => 0,
+        Gate1::X => 1,
+        Gate1::Y => 2,
+        Gate1::Z => 3,
+        Gate1::H => 4,
+        Gate1::S => 5,
+        Gate1::Sdg => 6,
+        Gate1::T => 7,
+        Gate1::Tdg => 8,
+        Gate1::X90 => 9,
+        Gate1::Xm90 => 10,
+        Gate1::Y90 => 11,
+        Gate1::Ym90 => 12,
+        Gate1::Rx(_) => 13,
+        Gate1::Ry(_) => 14,
+        Gate1::Rz(_) => 15,
+        Gate1::Reset => 16,
+    }
+}
+
+/// The waveform-table index of a rotation, 0 for every fixed gate.
+fn rotation_index(g: Gate1) -> u8 {
+    match g {
+        Gate1::Rx(a) | Gate1::Ry(a) | Gate1::Rz(a) => a.index(),
+        _ => 0,
     }
 }
 
@@ -204,7 +301,8 @@ mod tests {
         let b = assemble(RUS).unwrap();
         assert_eq!(a.digest(), b.digest());
         // Round-tripping through the canonical text form preserves the
-        // digest (the display form is what the digest walks).
+        // digest (the assembler parses the display form back to an
+        // equal program).
         let c = assemble(&a.to_string()).unwrap();
         assert_eq!(a.digest(), c.digest());
     }

@@ -39,7 +39,7 @@
 use crate::instruction::{ClassicalOp, Cond, Instruction, QuantumOp};
 use crate::program::Program;
 use crate::timing::OpTimings;
-use crate::{gate::CondOp, gate::Gate1, gate::Gate2, Fnv64};
+use crate::{gate::CondOp, gate::Gate1, gate::Gate2};
 use serde::{Deserialize, Serialize};
 
 /// The AWG waveform-table codeword an operation's pulse is stored under.
@@ -307,7 +307,12 @@ pub struct LoweredBlock {
 }
 
 /// A program lowered to its contiguous micro-op array, with per-block
-/// boundaries and a content digest tying it to its inputs.
+/// boundaries.
+///
+/// A lowering carries no digest of its own: it is a pure function of the
+/// program and the [`OpTimings`], and the job that owns it (`quape-core`'s
+/// `CompiledJob`) already digests both, so caches and scratch cores key
+/// on the job.
 ///
 /// ```
 /// use quape_isa::{assemble, LoweredProgram, MicroWord, OpTimings};
@@ -325,7 +330,6 @@ pub struct LoweredBlock {
 pub struct LoweredProgram {
     ops: Vec<MicroOp>,
     blocks: Vec<LoweredBlock>,
-    digest: u64,
 }
 
 impl LoweredProgram {
@@ -346,17 +350,7 @@ impl LoweredProgram {
                 end: info.range.end,
             })
             .collect();
-        let digest = Fnv64::new()
-            .write_u64(program.digest().0)
-            .write_u64(timings.single_qubit_ns)
-            .write_u64(timings.two_qubit_ns)
-            .write_u64(timings.readout_pulse_ns)
-            .finish();
-        LoweredProgram {
-            ops,
-            blocks,
-            digest,
-        }
+        LoweredProgram { ops, blocks }
     }
 
     /// The micro-op array (`ops()[i]` lowers instruction `i`).
@@ -391,14 +385,6 @@ impl LoweredProgram {
     /// Per-block address ranges, in block-table order.
     pub fn blocks(&self) -> &[LoweredBlock] {
         &self.blocks
-    }
-
-    /// Content digest of the lowering inputs: the source program's
-    /// digest combined with the [`OpTimings`] that were baked in. Two
-    /// lowerings of structurally equal programs under equal timings
-    /// hash identically.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 }
 
@@ -634,24 +620,17 @@ mod tests {
     }
 
     #[test]
-    fn digest_keyed_by_program_and_timings() {
+    fn lowering_is_a_function_of_program_and_timings() {
         let p = assemble("0 H q0\nSTOP\n").expect("valid");
         let a = LoweredProgram::lower(&p, &OpTimings::paper());
-        let b = LoweredProgram::lower(&p, &OpTimings::paper());
-        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a, LoweredProgram::lower(&p, &OpTimings::paper()));
         let other_timings = OpTimings {
             single_qubit_ns: 21,
             ..OpTimings::paper()
         };
-        assert_ne!(
-            a.digest(),
-            LoweredProgram::lower(&p, &other_timings).digest()
-        );
+        assert_ne!(a, LoweredProgram::lower(&p, &other_timings));
         let q = assemble("0 X q0\nSTOP\n").expect("valid");
-        assert_ne!(
-            a.digest(),
-            LoweredProgram::lower(&q, &OpTimings::paper()).digest()
-        );
+        assert_ne!(a, LoweredProgram::lower(&q, &OpTimings::paper()));
     }
 
     #[test]

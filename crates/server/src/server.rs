@@ -248,7 +248,10 @@ impl JobSource {
                 let h = quape_isa::content_hash_128(text.as_bytes());
                 (1u32, (h >> 64) as u64, h as u64)
             }
-            JobSource::Program(p) => (2u32, p.digest().0, p.digest().0),
+            JobSource::Program(p) => {
+                let d = p.digest().0;
+                (2u32, d, d)
+            }
         };
         let cfg_digest = cfg.content_digest();
         let mut hi = Fnv64::new();
