@@ -309,10 +309,9 @@ pub struct LoweredBlock {
 /// A program lowered to its contiguous micro-op array, with per-block
 /// boundaries.
 ///
-/// A lowering carries no digest of its own: it is a pure function of the
-/// program and the [`OpTimings`], and the job that owns it (`quape-core`'s
-/// `CompiledJob`) already digests both, so caches and scratch cores key
-/// on the job.
+/// A lowering is a pure function of the program and the [`OpTimings`]:
+/// caches and scratch cores key on the digest of the job that owns it
+/// (`quape-core`'s `CompiledJob`), which covers both.
 ///
 /// ```
 /// use quape_isa::{assemble, LoweredProgram, MicroWord, OpTimings};
