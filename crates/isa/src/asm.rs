@@ -187,6 +187,12 @@ fn parse_directive(b: &mut ProgramBuilder, rest: &str, no: usize) -> Result<(), 
     let mut parts = rest.split_whitespace();
     match parts.next() {
         Some("block") => {
+            if let Some(open) = b.open_block() {
+                return Err(AsmError::new(
+                    no,
+                    format!("nested `.block`: block `{open}` is still open"),
+                ));
+            }
             let name = parts
                 .next()
                 .ok_or_else(|| AsmError::new(no, ".block requires a name"))?
@@ -896,6 +902,27 @@ STOP
         // A lone carriage return separates tokens but not lines.
         assert_eq!(scan_qubit_count("0 H q2\rq5\n"), 6);
         assert_eq!(scan_qubit_count("# c\rq5\n0 H q1\n"), 2);
+    }
+
+    #[test]
+    fn nested_block_is_an_error_on_its_line() {
+        let err = assemble(".block a prio=0\n0 H q0\n.block b prio=1\n0 H q1\n.endblock\nSTOP\n")
+            .unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.message, "nested `.block`: block `a` is still open");
+        // Closed blocks in sequence stay fine.
+        assert!(
+            assemble(".block a prio=0\n0 H q0\n.endblock\n.block b prio=1\nSTOP\n.endblock\n")
+                .is_ok()
+        );
+    }
+
+    #[test]
+    fn duplicate_label_is_an_error() {
+        let err = assemble("a:\n0 H q0\na:\n0 X q0\nBR EQ, a\nSTOP\n").unwrap_err();
+        assert_eq!(err.message, "duplicate label `a`");
+        // A label defined once and referenced twice is fine.
+        assert!(assemble("a:\n0 H q0\nBR EQ, a\nJMP a\nSTOP\n").is_ok());
     }
 
     #[test]

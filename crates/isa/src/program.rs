@@ -5,6 +5,7 @@ use crate::block::{BlockId, BlockInfo, BlockInfoTable, BlockTableError, Dependen
 use crate::encoding::{decode, encode, DecodeError, EncodeError};
 use crate::instruction::{ClassicalOp, Cond, Instruction};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -400,6 +401,7 @@ pub struct ProgramBuilder {
     step_map: Vec<Option<StepId>>,
     current_step: Option<StepId>,
     labels: BTreeMap<String, u32>,
+    duplicate_label: Option<String>,
     fixups: Vec<(usize, String)>,
     blocks: Vec<(String, u32, Option<u32>, Dependency)>,
     open_block: Option<usize>,
@@ -445,10 +447,21 @@ impl ProgramBuilder {
         self
     }
 
-    /// Binds a label to the current address.
+    /// Binds a label to the current address. A label bound twice keeps
+    /// its first address, and [`finish`](Self::finish) reports the first
+    /// such label as [`ProgramError::DuplicateLabel`].
     pub fn label(&mut self, name: impl Into<String>) -> &mut Self {
-        let name = name.into();
-        self.labels.insert(name, self.here());
+        let here = self.here();
+        match self.labels.entry(name.into()) {
+            Entry::Vacant(slot) => {
+                slot.insert(here);
+            }
+            Entry::Occupied(bound) => {
+                if self.duplicate_label.is_none() {
+                    self.duplicate_label = Some(bound.key().clone());
+                }
+            }
+        }
         self
     }
 
@@ -511,13 +524,20 @@ impl ProgramBuilder {
     ///
     /// Dependencies expressed with [`Dependency::Direct`] may reference
     /// blocks by *name* via [`ProgramBuilder::begin_block_named_deps`]; this
-    /// variant takes resolved ids/priorities directly.
+    /// variant takes resolved ids/priorities directly. Blocks do not nest:
+    /// opening one while another is open leaves the first without an end,
+    /// which [`finish`](Self::finish) reports as
+    /// [`ProgramError::UnclosedBlock`].
     pub fn begin_block(&mut self, name: impl Into<String>, dependency: Dependency) -> &mut Self {
-        debug_assert!(self.open_block.is_none(), "nested blocks are not supported");
         self.blocks
             .push((name.into(), self.here(), None, dependency));
         self.open_block = Some(self.blocks.len() - 1);
         self
+    }
+
+    /// The name of the block opened and not yet closed, if any.
+    pub(crate) fn open_block(&self) -> Option<&str> {
+        self.open_block.map(|idx| self.blocks[idx].0.as_str())
     }
 
     /// True if a block with this name has been declared.
@@ -558,14 +578,16 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ProgramError::UndefinedLabel`] for unresolved references,
-    /// [`ProgramError::UnclosedBlock`] when a block is still open, and any
-    /// validation error from [`Program::with_parts`].
+    /// Returns [`ProgramError::UnclosedBlock`] for the first block without
+    /// an end, [`ProgramError::DuplicateLabel`] for the first label bound
+    /// twice, [`ProgramError::UndefinedLabel`] for unresolved references,
+    /// and any validation error from [`Program::with_parts`].
     pub fn finish(mut self) -> Result<Program, ProgramError> {
-        if let Some(idx) = self.open_block {
-            return Err(ProgramError::UnclosedBlock {
-                name: self.blocks[idx].0.clone(),
-            });
+        if let Some((name, ..)) = self.blocks.iter().find(|(_, _, end, _)| end.is_none()) {
+            return Err(ProgramError::UnclosedBlock { name: name.clone() });
+        }
+        if let Some(label) = self.duplicate_label {
+            return Err(ProgramError::DuplicateLabel { label });
         }
         for (addr, label) in &self.fixups {
             let target = *self
@@ -580,8 +602,8 @@ impl ProgramBuilder {
         }
         let mut table = BlockInfoTable::with_capacity(self.capacity);
         for (name, start, end, dep) in self.blocks {
-            let end = end.expect("closed block has an end");
-            table.push(BlockInfo::new(name, start..end, dep))?;
+            // Every block has an end: an open one was reported above.
+            table.push(BlockInfo::new(name, start..end.unwrap_or(start), dep))?;
         }
         Program::with_parts(self.instructions, table, self.step_map)
     }
@@ -661,6 +683,38 @@ mod tests {
         b.push(h(0));
         let err = b.finish().unwrap_err();
         assert_eq!(err, ProgramError::UnclosedBlock { name: "w1".into() });
+    }
+
+    #[test]
+    fn nested_block_leaves_the_outer_one_unclosed() {
+        let mut b = ProgramBuilder::new();
+        b.begin_block("outer", Dependency::none());
+        b.push(h(0));
+        b.begin_block("inner", Dependency::Priority(1));
+        b.push(h(1));
+        b.end_block();
+        let err = b.finish().unwrap_err();
+        assert_eq!(
+            err,
+            ProgramError::UnclosedBlock {
+                name: "outer".into()
+            }
+        );
+    }
+
+    #[test]
+    fn duplicate_label_is_reported() {
+        let mut b = ProgramBuilder::new();
+        b.label("a");
+        b.push(h(0));
+        b.label("b");
+        b.label("a");
+        b.push(h(1));
+        b.label("b");
+        b.br_to(Cond::Eq, "a");
+        b.push(ClassicalOp::Stop);
+        let err = b.finish().unwrap_err();
+        assert_eq!(err, ProgramError::DuplicateLabel { label: "a".into() });
     }
 
     #[test]

@@ -376,6 +376,35 @@ fn over_budget_sheds_with_retry_after() {
     door.drain().unwrap();
 }
 
+/// Request text that nests `.block`s fails with a typed error on its
+/// own ticket instead of panicking inside the front door's dispatch, and
+/// the door keeps dispatching the requests submitted after it.
+#[test]
+fn nested_block_text_fails_typed_and_the_door_keeps_serving() {
+    let door = FrontDoor::new(
+        fleet(2, Placement::StickyByDigest),
+        AdmissionConfig::default(),
+    );
+    let c = cfg();
+    let text = ".block a prio=0\n0 H q0\n.block b prio=1\n0 H q1\n.endblock\nSTOP\n";
+    let bad = door
+        .submit(JobRequest::new(
+            "nested",
+            JobSource::Text(text.into()),
+            c.clone(),
+            coin(&c),
+            1,
+        ))
+        .unwrap();
+    match bad.wait() {
+        Err(JobError::Parse(e)) => assert_eq!(e.line, 3, "{e}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    let good = door.submit(request("after", 1, 12, 7)).unwrap();
+    assert_eq!(good.wait().unwrap().aggregate, solo(1, 12, 7));
+    door.drain().unwrap();
+}
+
 /// The documented DRR starvation bound: while a hog floods the fleet, a
 /// 1-shot tenant's queue wait (in dispatched shots) stays bounded by
 /// the hog's quantum — never by the hog's backlog.
