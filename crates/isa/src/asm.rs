@@ -18,6 +18,10 @@
 //! BR EQ, label                 branch targets may be labels or numbers
 //! MRCE q0, q1, X, NONE         fast-context-switch conditional
 //! ```
+//!
+//! Tokens are separated by whitespace as [`char::is_whitespace`] defines
+//! it, operands by commas. Mnemonics, register prefixes and condition
+//! names are case-insensitive; directive names are not.
 
 use crate::gate::{Angle, CondOp, Gate1, Gate2};
 use crate::instruction::{ClassicalOp, Cond, Instruction, QuantumOp};
@@ -35,6 +39,10 @@ pub struct AsmError {
 }
 
 impl AsmError {
+    // Kept out of line: no statement that assembles pays for the error
+    // paths around it.
+    #[cold]
+    #[inline(never)]
     fn new(line: usize, message: impl Into<String>) -> Self {
         AsmError {
             line,
@@ -62,11 +70,18 @@ impl From<ProgramError> for AsmError {
 
 /// Assembles timed-QASM text into a [`Program`].
 ///
+/// The text is read in one forward pass over its bytes: each statement
+/// is cut into its head, mnemonic and operands where it stands, numbers
+/// are read from those bytes, and the instruction goes straight into a
+/// [`ProgramBuilder`]. Nothing is allocated per line, and a character
+/// from U+0080 up is decoded only to ask whether it is whitespace.
+///
 /// # Errors
 ///
 /// Returns an [`AsmError`] carrying the offending line number for syntax
-/// errors, unknown mnemonics, malformed operands, undefined labels, or
-/// invalid block structure.
+/// errors, unknown mnemonics, malformed operands, nested `.block`s, and
+/// the line number 0 for what only the whole program shows: undefined or
+/// duplicate labels and unclosed blocks.
 ///
 /// ```
 /// use quape_isa::assemble;
@@ -76,20 +91,733 @@ impl From<ProgramError> for AsmError {
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     let mut b = ProgramBuilder::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        parse_line(&mut b, line, line_no)?;
+    let mut cur = Cursor {
+        text: source,
+        pos: 0,
+    };
+    let mut no = 0;
+    while cur.pos < source.len() {
+        no += 1;
+        statement(&mut b, &mut cur, no)?;
+        cur.next_line();
     }
     b.finish().map_err(AsmError::from)
 }
 
-fn strip_comment(line: &str) -> &str {
-    let cut = line.find(['#', ';']).unwrap_or(line.len());
-    &line[..cut]
+/// Character classes, as bit flags so a scan can accept several.
+/// Whitespace separates tokens.
+const SPACE: u8 = 1;
+/// A comma separates operands.
+const COMMA: u8 = 2;
+/// A colon ends a label.
+const COLON: u8 = 4;
+/// Any other character is part of a token. `\n`, and the `#` or `;` that
+/// starts a comment, end the statement and are in no class.
+const TOKEN: u8 = 8;
+/// A byte from 0x80 up starts a multi-byte character, which is decoded
+/// to learn whether it is whitespace ([`SPACE`]) or not ([`TOKEN`]).
+const WIDE: u8 = 16;
+
+/// The class of each byte. A lone `\r` is plain whitespace, so a CRLF
+/// line reads as its LF line does.
+const BYTE_CLASS: [u8; 256] = {
+    let mut table = [WIDE; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        table[b] = match b as u8 {
+            b'\n' | b'#' | b';' => 0,
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => SPACE,
+            b',' => COMMA,
+            b':' => COLON,
+            _ => TOKEN,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// A read position in the source text. Every position it holds is a
+/// char boundary: it moves over ASCII bytes one at a time and over
+/// wider characters whole.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+/// The class and byte length of the multi-byte character at byte `pos`
+/// of `text`: the only place a character is decoded.
+#[cold]
+fn wide_char(text: &str, pos: usize) -> (u8, usize) {
+    match text[pos..].chars().next() {
+        Some(c) if c.is_whitespace() => (SPACE, c.len_utf8()),
+        Some(c) => (TOKEN, c.len_utf8()),
+        None => (0, 0),
+    }
+}
+
+impl<'a> Cursor<'a> {
+    /// Moves over the characters whose class is in `classes`, and
+    /// returns the class of the one it stops at (0 at the end of the
+    /// statement).
+    #[inline]
+    fn skip(&mut self, classes: u8) -> u8 {
+        let bytes = self.text.as_bytes();
+        loop {
+            let class = bytes
+                .get(self.pos)
+                .map_or(0, |&b| BYTE_CLASS[usize::from(b)]);
+            if class & classes != 0 {
+                self.pos += 1;
+            } else if class != WIDE {
+                return class;
+            } else {
+                match wide_char(self.text, self.pos) {
+                    (class, len) if class & classes != 0 => self.pos += len,
+                    (class, _) => return class,
+                }
+            }
+        }
+    }
+
+    /// The bytes from `start` to the cursor.
+    fn since(&self, start: usize) -> &'a [u8] {
+        &self.text.as_bytes()[start..self.pos]
+    }
+
+    /// The next whitespace-delimited token (commas included), or `b""`
+    /// at the end of the statement.
+    fn word(&mut self) -> &'a [u8] {
+        self.skip(SPACE);
+        let start = self.pos;
+        self.skip(TOKEN | COMMA | COLON);
+        self.since(start)
+    }
+
+    /// The rest of the statement as comma-separated operands, each with
+    /// its surrounding whitespace trimmed; empty ones are dropped.
+    fn operands(&mut self) -> Operands<'a> {
+        let mut ops = Operands {
+            slots: [b""; MAX_OPERANDS],
+            len: 0,
+        };
+        loop {
+            let mut class = self.skip(SPACE);
+            let start = self.pos;
+            let mut op: &[u8] = b"";
+            // Runs of token characters, with any spaces between them,
+            // up to the next comma or the end of the statement.
+            while class & (TOKEN | COLON) != 0 {
+                self.skip(TOKEN | COLON);
+                op = self.since(start);
+                class = self.skip(SPACE);
+            }
+            if !op.is_empty() {
+                ops.push(op);
+            }
+            if class != COMMA {
+                return ops;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Moves past the next `\n`, or to the end of the text.
+    fn next_line(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1);
+    }
+}
+
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_'
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+fn is_identifier(s: &[u8]) -> bool {
+    s.first().is_some_and(|&b| is_ident_start(b)) && s.iter().all(|&b| is_ident_byte(b))
+}
+
+/// A token as text, for names and messages. Tokens are cut at char
+/// boundaries of the source, so this never falls back.
+fn text(tok: &[u8]) -> &str {
+    std::str::from_utf8(tok).unwrap_or_default()
+}
+
+/// One line: a blank or comment line, a directive, or an instruction with
+/// an optional `label:` in front. Stops at or before the line's end.
+fn statement(b: &mut ProgramBuilder, cur: &mut Cursor<'_>, no: usize) -> Result<(), AsmError> {
+    let start = match cur.skip(SPACE) {
+        0 => return Ok(()),
+        _ => cur.pos,
+    };
+    if cur.text.as_bytes()[start] == b'.' {
+        cur.pos += 1;
+        return directive(b, cur, no);
+    }
+    // The head runs to the next space. A label is an identifier directly
+    // followed by the line's first colon, so it ends the head's first
+    // stretch without a colon.
+    if cur.skip(TOKEN | COMMA) == COLON && is_identifier(cur.since(start)) {
+        b.label(text(cur.since(start)));
+        cur.pos += 1;
+        let head = cur.word();
+        if head.is_empty() {
+            return Ok(());
+        }
+        return instruction(b, head, cur, no);
+    }
+    cur.skip(TOKEN | COMMA | COLON);
+    instruction(b, cur.since(start), cur, no)
+}
+
+fn directive(b: &mut ProgramBuilder, cur: &mut Cursor<'_>, no: usize) -> Result<(), AsmError> {
+    match cur.word() {
+        b"block" => {
+            if let Some(open) = b.open_block() {
+                return Err(AsmError::new(
+                    no,
+                    format!("nested `.block`: block `{open}` is still open"),
+                ));
+            }
+            let name = text(cur.word());
+            if name.is_empty() {
+                return Err(AsmError::new(no, ".block requires a name"));
+            }
+            let spec = match text(cur.word()) {
+                "" => "deps=none",
+                spec => spec,
+            };
+            if let Some(p) = spec.strip_prefix("prio=") {
+                let prio = parse_uint(p.as_bytes(), u16::MAX.into())
+                    .ok_or_else(|| AsmError::new(no, format!("bad priority `{p}`")))?;
+                b.begin_block(name, crate::Dependency::Priority(prio as u16));
+            } else if let Some(d) = spec.strip_prefix("deps=") {
+                if d.eq_ignore_ascii_case("none") {
+                    b.begin_block(name, crate::Dependency::none());
+                } else {
+                    let deps: Vec<&str> = d.split(',').collect();
+                    for dep in &deps {
+                        if !b.has_block(dep) {
+                            return Err(AsmError::new(no, format!("unknown dependency in `{d}`")));
+                        }
+                    }
+                    b.begin_block_named_deps(name, &deps);
+                }
+            } else {
+                return Err(AsmError::new(no, format!("bad block spec `{spec}`")));
+            }
+            Ok(())
+        }
+        b"endblock" => {
+            b.end_block();
+            Ok(())
+        }
+        b"step" => {
+            let arg = text(cur.word());
+            if arg.is_empty() {
+                return Err(AsmError::new(no, ".step requires an argument"));
+            }
+            if arg.eq_ignore_ascii_case("none") {
+                b.set_step(None);
+            } else {
+                let s = parse_uint(arg.as_bytes(), u32::MAX)
+                    .ok_or_else(|| AsmError::new(no, format!("bad step `{arg}`")))?;
+                b.set_step(Some(StepId(s)));
+            }
+            Ok(())
+        }
+        b"" => Err(AsmError::new(no, "empty directive")),
+        other => Err(AsmError::new(
+            no,
+            format!("unknown directive `.{}`", text(other)),
+        )),
+    }
+}
+
+fn instruction(
+    b: &mut ProgramBuilder,
+    head: &[u8],
+    cur: &mut Cursor<'_>,
+    no: usize,
+) -> Result<(), AsmError> {
+    // A line starting with an integer is a quantum instruction.
+    if let Some(timing) = parse_uint(head, u32::MAX) {
+        if timing > crate::MAX_TIMING {
+            return Err(AsmError::new(
+                no,
+                format!(
+                    "timing label {timing} exceeds {} (use QWAIT)",
+                    crate::MAX_TIMING
+                ),
+            ));
+        }
+        let mnem = cur.word();
+        let op = quantum_op(mnem, &cur.operands(), no)?;
+        b.push(Instruction::quantum(timing, op));
+        return Ok(());
+    }
+    classical(b, head, &cur.operands(), no)
+}
+
+/// `digits` read as `str::parse` reads an unsigned integer: one or more
+/// ASCII digits, with no sign. `None` past `u32::MAX`.
+fn parse_digits(digits: &[u8]) -> Option<u32> {
+    if digits.is_empty() {
+        return None;
+    }
+    let mut n = 0u32;
+    for &d in digits {
+        let d = d.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n = n.checked_mul(10)?.checked_add(u32::from(d))?;
+    }
+    Some(n)
+}
+
+/// `tok` read as `str::parse` reads an unsigned integer type whose
+/// maximum is `max`: an optional `+`, then digits.
+fn parse_uint(tok: &[u8], max: u32) -> Option<u32> {
+    parse_digits(tok.strip_prefix(b"+").unwrap_or(tok)).filter(|&n| n <= max)
+}
+
+/// A head's bytes, ASCII-uppercased and packed little-endian into one
+/// word with the length in the top byte, so a mnemonic compares as one
+/// integer. Heads longer than 7 bytes (`MEASURE` is the longest
+/// mnemonic) pack to 0, which no mnemonic does.
+const fn mnemonic_key(head: &[u8]) -> u64 {
+    if head.len() > 7 {
+        return 0;
+    }
+    let mut key = (head.len() as u64) << 56;
+    let mut i = 0;
+    while i < head.len() {
+        key |= (head[i].to_ascii_uppercase() as u64) << (8 * i);
+        i += 1;
+    }
+    key
+}
+
+/// The [`mnemonic_key`] of every mnemonic, named after it.
+mod key {
+    macro_rules! keys {
+        ($($name:ident),* $(,)?) => {
+            $(pub const $name: u64 = super::mnemonic_key(stringify!($name).as_bytes());)*
+        };
+    }
+    keys!(
+        I, X, Y, Z, H, S, SDG, T, TDG, X90, XM90, Y90, YM90, RESET, CNOT, CZ, SWAP, MEAS, MEASURE,
+        NOP, STOP, HALT, RET, JMP, CALL, BR, LDI, MOV, ADD, SUB, AND, OR, XOR, ADDI, NOT, CMP,
+        CMPI, FMR, QWAIT, LDS, STS, MRCE,
+    );
+}
+
+/// Most operands any instruction takes (`MRCE`).
+const MAX_OPERANDS: usize = 4;
+
+/// The non-empty, trimmed, comma-separated operands of an instruction,
+/// held inline. `len` counts every operand, including any past
+/// [`MAX_OPERANDS`], so an arity error reports the true count.
+struct Operands<'a> {
+    slots: [&'a [u8]; MAX_OPERANDS],
+    len: usize,
+}
+
+impl<'a> Operands<'a> {
+    fn push(&mut self, op: &'a [u8]) {
+        if let Some(slot) = self.slots.get_mut(self.len) {
+            *slot = op;
+        }
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
+impl<'a> std::ops::Index<usize> for Operands<'a> {
+    type Output = &'a [u8];
+
+    fn index(&self, i: usize) -> &&'a [u8] {
+        &self.slots[..self.len.min(MAX_OPERANDS)][i]
+    }
+}
+
+/// The index after a one-letter, either-case `prefix`, when it fits
+/// `max`.
+fn prefixed_index(tok: &[u8], prefix: u8, max: u32) -> Option<u32> {
+    match tok {
+        [first, index @ ..] if first.to_ascii_lowercase() == prefix => parse_uint(index, max),
+        _ => None,
+    }
+}
+
+fn parse_qubit(tok: &[u8], no: usize) -> Result<Qubit, AsmError> {
+    prefixed_index(tok, b'q', u16::MAX.into())
+        .map(|idx| Qubit::new(idx as u16))
+        .ok_or_else(|| AsmError::new(no, format!("expected qubit operand, got `{}`", text(tok))))
+}
+
+fn parse_reg(tok: &[u8], no: usize) -> Result<Reg, AsmError> {
+    prefixed_index(tok, b'r', u8::MAX.into())
+        .filter(|&n| (n as usize) < crate::REG_COUNT)
+        .map(|idx| Reg::new(idx as u8))
+        .ok_or_else(|| {
+            AsmError::new(
+                no,
+                format!("expected register operand, got `{}`", text(tok)),
+            )
+        })
+}
+
+fn parse_sreg(tok: &[u8], no: usize) -> Result<SharedReg, AsmError> {
+    prefixed_index(tok, b's', u8::MAX.into())
+        .filter(|&n| (n as usize) < crate::SHARED_REG_COUNT)
+        .map(|idx| SharedReg::new(idx as u8))
+        .ok_or_else(|| AsmError::new(no, format!("expected shared register, got `{}`", text(tok))))
+}
+
+/// `tok` read as `str::parse::<i16>` reads it: an optional `+` or `-`,
+/// then digits.
+fn parse_imm(tok: &[u8], no: usize) -> Result<i16, AsmError> {
+    let value = match tok {
+        [b'-', digits @ ..] => parse_digits(digits).map(|n| -i64::from(n)),
+        [b'+', digits @ ..] => parse_digits(digits).map(i64::from),
+        digits => parse_digits(digits).map(i64::from),
+    };
+    value
+        .and_then(|n| i16::try_from(n).ok())
+        .ok_or_else(|| AsmError::new(no, format!("bad immediate `{}`", text(tok))))
+}
+
+fn quantum_op(mnem: &[u8], ops: &Operands<'_>, no: usize) -> Result<QuantumOp, AsmError> {
+    // Rotations: RX[k] / RY[k] / RZ[k]. The index is read from the text
+    // as written (case does not touch digits), so it may be any length.
+    let rotation: Option<fn(Angle) -> Gate1> = match mnem {
+        [r, axis, b'[', ..] if r.eq_ignore_ascii_case(&b'r') => match axis.to_ascii_uppercase() {
+            b'X' => Some(Gate1::Rx),
+            b'Y' => Some(Gate1::Ry),
+            b'Z' => Some(Gate1::Rz),
+            _ => None,
+        },
+        _ => None,
+    };
+    if let Some(rotation) = rotation {
+        let k = mnem[3..]
+            .strip_suffix(b"]")
+            .and_then(|n| parse_uint(n, u8::MAX.into()))
+            .ok_or_else(|| AsmError::new(no, format!("bad rotation index in `{}`", text(mnem))))?;
+        if k >= u32::from(Angle::STEPS) {
+            return Err(AsmError::new(
+                no,
+                format!("rotation index {k} out of range"),
+            ));
+        }
+        let q = single_operand(ops, no)?;
+        return Ok(QuantumOp::Gate1(
+            rotation(Angle::new(k as u8)),
+            parse_qubit(q, no)?,
+        ));
+    }
+
+    let k = mnemonic_key(mnem);
+    let gate1 = match k {
+        key::I => Some(Gate1::I),
+        key::X => Some(Gate1::X),
+        key::Y => Some(Gate1::Y),
+        key::Z => Some(Gate1::Z),
+        key::H => Some(Gate1::H),
+        key::S => Some(Gate1::S),
+        key::SDG => Some(Gate1::Sdg),
+        key::T => Some(Gate1::T),
+        key::TDG => Some(Gate1::Tdg),
+        key::X90 => Some(Gate1::X90),
+        key::XM90 => Some(Gate1::Xm90),
+        key::Y90 => Some(Gate1::Y90),
+        key::YM90 => Some(Gate1::Ym90),
+        key::RESET => Some(Gate1::Reset),
+        _ => None,
+    };
+    if let Some(g) = gate1 {
+        let q = single_operand(ops, no)?;
+        return Ok(QuantumOp::Gate1(g, parse_qubit(q, no)?));
+    }
+
+    let gate2 = match k {
+        key::CNOT => Some(Gate2::Cnot),
+        key::CZ => Some(Gate2::Cz),
+        key::SWAP => Some(Gate2::Swap),
+        _ => None,
+    };
+    if let Some(g) = gate2 {
+        if ops.len() != 2 {
+            return Err(AsmError::new(
+                no,
+                format!("{} requires two qubit operands", text(mnem)),
+            ));
+        }
+        return Ok(QuantumOp::Gate2(
+            g,
+            parse_qubit(ops[0], no)?,
+            parse_qubit(ops[1], no)?,
+        ));
+    }
+
+    if k == key::MEAS || k == key::MEASURE {
+        let q = single_operand(ops, no)?;
+        return Ok(QuantumOp::Measure(parse_qubit(q, no)?));
+    }
+
+    Err(AsmError::new(
+        no,
+        format!("unknown quantum mnemonic `{}`", text(mnem)),
+    ))
+}
+
+fn single_operand<'a>(ops: &Operands<'a>, no: usize) -> Result<&'a [u8], AsmError> {
+    if ops.len() == 1 {
+        Ok(ops[0])
+    } else {
+        Err(AsmError::new(
+            no,
+            format!("expected one operand, got {}", ops.len()),
+        ))
+    }
+}
+
+fn parse_cond(tok: &[u8], no: usize) -> Result<Cond, AsmError> {
+    Cond::ALL
+        .into_iter()
+        .find(|c| c.mnemonic().as_bytes().eq_ignore_ascii_case(tok))
+        .ok_or_else(|| AsmError::new(no, format!("unknown condition `{}`", text(tok))))
+}
+
+fn parse_condop(tok: &[u8], no: usize) -> Result<CondOp, AsmError> {
+    CondOp::ALL
+        .into_iter()
+        .find(|c| c.mnemonic().as_bytes().eq_ignore_ascii_case(tok))
+        .ok_or_else(|| AsmError::new(no, format!("unknown conditional op `{}`", text(tok))))
+}
+
+/// Either a numeric address or a label reference.
+fn parse_target(
+    b: &mut ProgramBuilder,
+    tok: &[u8],
+    cond: Option<Cond>,
+    call: bool,
+    no: usize,
+) -> Result<(), AsmError> {
+    if let Some(addr) = parse_uint(tok, u32::MAX) {
+        let op = match (cond, call) {
+            (Some(c), _) => ClassicalOp::Br {
+                cond: c,
+                target: addr,
+            },
+            (None, true) => ClassicalOp::Call { target: addr },
+            (None, false) => ClassicalOp::Jmp { target: addr },
+        };
+        b.push(op);
+        Ok(())
+    } else if is_identifier(tok) {
+        let label = text(tok);
+        match (cond, call) {
+            (Some(c), _) => b.br_to(c, label),
+            (None, true) => b.call_to(label),
+            (None, false) => b.jmp_to(label),
+        };
+        Ok(())
+    } else {
+        Err(AsmError::new(
+            no,
+            format!("bad control-transfer target `{}`", text(tok)),
+        ))
+    }
+}
+
+fn classical(
+    b: &mut ProgramBuilder,
+    head: &[u8],
+    ops: &Operands<'_>,
+    no: usize,
+) -> Result<(), AsmError> {
+    let k = mnemonic_key(head);
+    let wrong_arity = |n: usize| {
+        AsmError::new(
+            no,
+            format!(
+                "{} expects {n} operand(s), got {}",
+                text(head).to_ascii_uppercase(),
+                ops.len()
+            ),
+        )
+    };
+    match k {
+        key::NOP => {
+            b.push(ClassicalOp::Nop);
+        }
+        key::STOP => {
+            b.push(ClassicalOp::Stop);
+        }
+        key::HALT => {
+            b.push(ClassicalOp::Halt);
+        }
+        key::RET => {
+            b.push(ClassicalOp::Ret);
+        }
+        key::JMP => {
+            if ops.len() != 1 {
+                return Err(wrong_arity(1));
+            }
+            parse_target(b, ops[0], None, false, no)?;
+        }
+        key::CALL => {
+            if ops.len() != 1 {
+                return Err(wrong_arity(1));
+            }
+            parse_target(b, ops[0], None, true, no)?;
+        }
+        key::BR => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            let cond = parse_cond(ops[0], no)?;
+            parse_target(b, ops[1], Some(cond), false, no)?;
+        }
+        key::LDI => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Ldi {
+                rd: parse_reg(ops[0], no)?,
+                imm: parse_imm(ops[1], no)?,
+            });
+        }
+        key::MOV => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Mov {
+                rd: parse_reg(ops[0], no)?,
+                rs: parse_reg(ops[1], no)?,
+            });
+        }
+        key::ADD | key::SUB | key::AND | key::OR | key::XOR => {
+            if ops.len() != 3 {
+                return Err(wrong_arity(3));
+            }
+            let rd = parse_reg(ops[0], no)?;
+            let rs1 = parse_reg(ops[1], no)?;
+            let rs2 = parse_reg(ops[2], no)?;
+            b.push(match k {
+                key::ADD => ClassicalOp::Add { rd, rs1, rs2 },
+                key::SUB => ClassicalOp::Sub { rd, rs1, rs2 },
+                key::AND => ClassicalOp::And { rd, rs1, rs2 },
+                key::OR => ClassicalOp::Or { rd, rs1, rs2 },
+                _ => ClassicalOp::Xor { rd, rs1, rs2 },
+            });
+        }
+        key::ADDI => {
+            if ops.len() != 3 {
+                return Err(wrong_arity(3));
+            }
+            b.push(ClassicalOp::Addi {
+                rd: parse_reg(ops[0], no)?,
+                rs: parse_reg(ops[1], no)?,
+                imm: parse_imm(ops[2], no)?,
+            });
+        }
+        key::NOT => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Not {
+                rd: parse_reg(ops[0], no)?,
+                rs: parse_reg(ops[1], no)?,
+            });
+        }
+        key::CMP => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Cmp {
+                rs1: parse_reg(ops[0], no)?,
+                rs2: parse_reg(ops[1], no)?,
+            });
+        }
+        key::CMPI => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Cmpi {
+                rs: parse_reg(ops[0], no)?,
+                imm: parse_imm(ops[1], no)?,
+            });
+        }
+        key::FMR => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Fmr {
+                rd: parse_reg(ops[0], no)?,
+                qubit: parse_qubit(ops[1], no)?,
+            });
+        }
+        key::QWAIT => {
+            if ops.len() != 1 {
+                return Err(wrong_arity(1));
+            }
+            let cycles = parse_uint(ops[0], u32::MAX).ok_or_else(|| {
+                AsmError::new(no, format!("bad QWAIT operand `{}`", text(ops[0])))
+            })?;
+            b.push(ClassicalOp::Qwait {
+                cycles: Cycles::new(cycles),
+            });
+        }
+        key::LDS => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Lds {
+                rd: parse_reg(ops[0], no)?,
+                sreg: parse_sreg(ops[1], no)?,
+            });
+        }
+        key::STS => {
+            if ops.len() != 2 {
+                return Err(wrong_arity(2));
+            }
+            b.push(ClassicalOp::Sts {
+                sreg: parse_sreg(ops[0], no)?,
+                rs: parse_reg(ops[1], no)?,
+            });
+        }
+        key::MRCE => {
+            if ops.len() != 4 {
+                return Err(wrong_arity(4));
+            }
+            b.push(ClassicalOp::Mrce {
+                qubit: parse_qubit(ops[0], no)?,
+                target: parse_qubit(ops[1], no)?,
+                op_if_one: parse_condop(ops[2], no)?,
+                op_if_zero: parse_condop(ops[3], no)?,
+            });
+        }
+        _ => {
+            return Err(AsmError::new(
+                no,
+                format!("unknown mnemonic `{}`", text(head).to_ascii_uppercase()),
+            ))
+        }
+    }
+    Ok(())
 }
 
 /// Lexically scans timed-QASM text for the number of qubits it touches —
@@ -99,7 +827,8 @@ fn strip_comment(line: &str) -> &str {
 /// paying for a parse (requests are only assembled on compile-cache
 /// misses, and the scan must not change that). The router runs it on
 /// every text request, cache hits included, so it is one pass over the
-/// bytes that allocates nothing.
+/// bytes that allocates nothing and skips a `u64` word at a time to the
+/// next byte that can start a token or a comment.
 ///
 /// The scan is a heuristic twin of [`Program::num_qubits`] — both reduce
 /// their qubit references with the one audited counting rule,
@@ -120,564 +849,69 @@ fn strip_comment(line: &str) -> &str {
 /// ```
 pub fn scan_qubit_count(source: &str) -> u16 {
     let bytes = source.as_bytes();
-    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut i = 0;
-    crate::qubit_span(std::iter::from_fn(|| {
-        while i < bytes.len() {
-            match bytes[i] {
-                // A comment runs to the end of its line.
-                b'#' | b';' => {
-                    i += bytes[i..]
-                        .iter()
-                        .position(|&b| b == b'\n')
-                        .unwrap_or(bytes.len() - i);
+    crate::qubit_span(std::iter::from_fn(|| loop {
+        i = next_scan_candidate(bytes, i);
+        match *bytes.get(i)? {
+            // A comment runs to the end of its line.
+            b'#' | b';' => {
+                i += bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap_or(bytes.len() - i);
+            }
+            _ if i > 0 && is_ident_byte(bytes[i - 1]) => i += 1,
+            _ => {
+                let start = i + 1;
+                i = start;
+                // Saturates one past `u16::MAX`, so a 40-digit token
+                // neither overflows nor counts.
+                let mut index = 0u32;
+                while let Some(d) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+                    index = (index * 10 + u32::from(d - b'0')).min(1 << 16);
+                    i += 1;
                 }
-                b'q' | b'Q' if i == 0 || !word(bytes[i - 1]) => {
-                    let start = i + 1;
-                    i = start;
-                    // Saturates one past `u16::MAX`, so a 40-digit token
-                    // neither overflows nor counts.
-                    let mut index = 0u32;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        index = (index * 10 + u32::from(bytes[i] - b'0')).min(1 << 16);
-                        i += 1;
-                    }
-                    let terminated = i == bytes.len() || !word(bytes[i]);
-                    if i > start && terminated {
-                        if let Ok(index) = u16::try_from(index) {
-                            return Some(index);
-                        }
+                let terminated = bytes.get(i).is_none_or(|&b| !is_ident_byte(b));
+                if i > start && terminated {
+                    if let Ok(index) = u16::try_from(index) {
+                        return Some(index);
                     }
                 }
-                _ => i += 1,
             }
         }
-        None
     }))
 }
 
-fn parse_line(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<(), AsmError> {
-    if let Some(rest) = line.strip_prefix('.') {
-        return parse_directive(b, rest, no);
+/// `0x0101…01`: one in every byte of a word.
+const BYTE_ONES: u64 = u64::from_le_bytes([1; 8]);
+
+/// The lowest byte of `word` that is zero has its high bit set in the
+/// result, and no byte below it does. (Bytes above a zero byte may be
+/// flagged falsely; only the lowest flag is read.)
+fn zero_bytes(word: u64) -> u64 {
+    word.wrapping_sub(BYTE_ONES) & !word & (BYTE_ONES << 7)
+}
+
+/// The first index from `i` on whose byte can start a scan token or a
+/// comment — `q`, `Q`, `#` or `;` — or `bytes.len()`. Whole 8-byte words
+/// without such a byte are skipped at once.
+fn next_scan_candidate(bytes: &[u8], mut i: usize) -> usize {
+    let splat = |b: u8| BYTE_ONES * u64::from(b);
+    while let Some(chunk) = bytes.get(i..).and_then(<[u8]>::first_chunk::<8>) {
+        let word = u64::from_le_bytes(*chunk);
+        // `q` and `Q` differ only in the 0x20 bit.
+        let hits = zero_bytes((word | splat(0x20)) ^ splat(b'q'))
+            | zero_bytes(word ^ splat(b'#'))
+            | zero_bytes(word ^ splat(b';'));
+        if hits != 0 {
+            return i + (hits.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
     }
-    // `label:` optionally followed by an instruction.
-    if let Some(colon) = line.find(':') {
-        let (name, rest) = line.split_at(colon);
-        if is_identifier(name) {
-            b.label(name);
-            let rest = rest[1..].trim();
-            if rest.is_empty() {
-                return Ok(());
-            }
-            return parse_instruction(b, rest, no);
-        }
-    }
-    parse_instruction(b, line, no)
-}
-
-fn is_identifier(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
-
-fn parse_directive(b: &mut ProgramBuilder, rest: &str, no: usize) -> Result<(), AsmError> {
-    let mut parts = rest.split_whitespace();
-    match parts.next() {
-        Some("block") => {
-            if let Some(open) = b.open_block() {
-                return Err(AsmError::new(
-                    no,
-                    format!("nested `.block`: block `{open}` is still open"),
-                ));
-            }
-            let name = parts
-                .next()
-                .ok_or_else(|| AsmError::new(no, ".block requires a name"))?
-                .to_string();
-            let spec = parts.next().unwrap_or("deps=none");
-            if let Some(p) = spec.strip_prefix("prio=") {
-                let prio: u16 = p
-                    .parse()
-                    .map_err(|_| AsmError::new(no, format!("bad priority `{p}`")))?;
-                b.begin_block(name, crate::Dependency::Priority(prio));
-            } else if let Some(d) = spec.strip_prefix("deps=") {
-                if d.eq_ignore_ascii_case("none") {
-                    b.begin_block(name, crate::Dependency::none());
-                } else {
-                    let deps: Vec<&str> = d.split(',').collect();
-                    for dep in &deps {
-                        if !b.has_block(dep) {
-                            return Err(AsmError::new(no, format!("unknown dependency in `{d}`")));
-                        }
-                    }
-                    b.begin_block_named_deps(name, &deps);
-                }
-            } else {
-                return Err(AsmError::new(no, format!("bad block spec `{spec}`")));
-            }
-            Ok(())
-        }
-        Some("endblock") => {
-            b.end_block();
-            Ok(())
-        }
-        Some("step") => {
-            let arg = parts
-                .next()
-                .ok_or_else(|| AsmError::new(no, ".step requires an argument"))?;
-            if arg.eq_ignore_ascii_case("none") {
-                b.set_step(None);
-            } else {
-                let s: u32 = arg
-                    .parse()
-                    .map_err(|_| AsmError::new(no, format!("bad step `{arg}`")))?;
-                b.set_step(Some(StepId(s)));
-            }
-            Ok(())
-        }
-        Some(other) => Err(AsmError::new(no, format!("unknown directive `.{other}`"))),
-        None => Err(AsmError::new(no, "empty directive")),
-    }
-}
-
-fn parse_instruction(b: &mut ProgramBuilder, line: &str, no: usize) -> Result<(), AsmError> {
-    let (head, rest) = split_head(line);
-    // A line starting with an integer is a quantum instruction.
-    if let Ok(timing) = head.parse::<u32>() {
-        if timing > crate::MAX_TIMING {
-            return Err(AsmError::new(
-                no,
-                format!(
-                    "timing label {timing} exceeds {} (use QWAIT)",
-                    crate::MAX_TIMING
-                ),
-            ));
-        }
-        let op = parse_quantum_op(rest.trim(), no)?;
-        b.push(Instruction::quantum(timing, op));
-        return Ok(());
-    }
-    parse_classical(b, head, rest.trim(), no)
-}
-
-fn split_head(line: &str) -> (&str, &str) {
-    match line.find(char::is_whitespace) {
-        Some(i) => (&line[..i], &line[i..]),
-        None => (line, ""),
-    }
-}
-
-/// Longest mnemonic the assembler knows (`MEASURE`), rounded up: a
-/// longer head matches none, so uppercasing one never needs the heap.
-const MNEMONIC_CAP: usize = 8;
-
-/// `head` uppercased into `buf`, or `""` (which no mnemonic equals) when
-/// it is longer than any mnemonic.
-fn uppercase<'b>(head: &str, buf: &'b mut [u8; MNEMONIC_CAP]) -> &'b str {
-    let Some(dst) = buf.get_mut(..head.len()) else {
-        return "";
-    };
-    dst.copy_from_slice(head.as_bytes());
-    dst.make_ascii_uppercase();
-    // ASCII case mapping keeps UTF-8 valid, so this never falls back.
-    std::str::from_utf8(dst).unwrap_or("")
-}
-
-/// Most operands any instruction takes (`MRCE`).
-const MAX_OPERANDS: usize = 4;
-
-/// The non-empty, trimmed, comma-separated operands of an instruction,
-/// held inline. `len` counts every operand, including any past
-/// [`MAX_OPERANDS`], so an arity error reports the true count.
-struct Operands<'a> {
-    slots: [&'a str; MAX_OPERANDS],
-    len: usize,
-}
-
-impl<'a> Operands<'a> {
-    fn parse(rest: &'a str) -> Self {
-        let mut ops = Operands {
-            slots: [""; MAX_OPERANDS],
-            len: 0,
-        };
-        for tok in rest.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            if let Some(slot) = ops.slots.get_mut(ops.len) {
-                *slot = tok;
-            }
-            ops.len += 1;
-        }
-        ops
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-impl<'a> std::ops::Index<usize> for Operands<'a> {
-    type Output = &'a str;
-
-    fn index(&self, i: usize) -> &&'a str {
-        &self.slots[..self.len.min(MAX_OPERANDS)][i]
-    }
-}
-
-fn parse_qubit(tok: &str, no: usize) -> Result<Qubit, AsmError> {
-    let idx = tok
-        .strip_prefix(['q', 'Q'])
-        .and_then(|n| n.parse::<u16>().ok())
-        .ok_or_else(|| AsmError::new(no, format!("expected qubit operand, got `{tok}`")))?;
-    Ok(Qubit::new(idx))
-}
-
-fn parse_reg(tok: &str, no: usize) -> Result<Reg, AsmError> {
-    let idx = tok
-        .strip_prefix(['r', 'R'])
-        .and_then(|n| n.parse::<u8>().ok())
-        .filter(|&n| (n as usize) < crate::REG_COUNT)
-        .ok_or_else(|| AsmError::new(no, format!("expected register operand, got `{tok}`")))?;
-    Ok(Reg::new(idx))
-}
-
-fn parse_sreg(tok: &str, no: usize) -> Result<SharedReg, AsmError> {
-    let idx = tok
-        .strip_prefix(['s', 'S'])
-        .and_then(|n| n.parse::<u8>().ok())
-        .filter(|&n| (n as usize) < crate::SHARED_REG_COUNT)
-        .ok_or_else(|| AsmError::new(no, format!("expected shared register, got `{tok}`")))?;
-    Ok(SharedReg::new(idx))
-}
-
-fn parse_imm(tok: &str, no: usize) -> Result<i16, AsmError> {
-    tok.parse::<i16>()
-        .map_err(|_| AsmError::new(no, format!("bad immediate `{tok}`")))
-}
-
-fn parse_quantum_op(rest: &str, no: usize) -> Result<QuantumOp, AsmError> {
-    let (mnem, ops_text) = split_head(rest);
-    let ops = Operands::parse(ops_text);
-
-    // Rotations: RX[k] / RY[k] / RZ[k]. The index is read from the text
-    // as written (case does not touch digits), so it may be any length.
-    let rotation: Option<fn(Angle) -> Gate1> = match mnem.as_bytes() {
-        [r, axis, b'[', ..] if r.eq_ignore_ascii_case(&b'r') => match axis.to_ascii_uppercase() {
-            b'X' => Some(Gate1::Rx),
-            b'Y' => Some(Gate1::Ry),
-            b'Z' => Some(Gate1::Rz),
-            _ => None,
-        },
-        _ => None,
-    };
-    if let Some(rotation) = rotation {
-        // The first three bytes are ASCII, so byte 3 starts a char.
-        let k: u8 = mnem[3..]
-            .strip_suffix(']')
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| AsmError::new(no, format!("bad rotation index in `{mnem}`")))?;
-        if k >= Angle::STEPS {
-            return Err(AsmError::new(
-                no,
-                format!("rotation index {k} out of range"),
-            ));
-        }
-        let q = single_operand(&ops, no)?;
-        return Ok(QuantumOp::Gate1(
-            rotation(Angle::new(k)),
-            parse_qubit(q, no)?,
-        ));
-    }
-
-    let mut buf = [0; MNEMONIC_CAP];
-    let mnem_upper = uppercase(mnem, &mut buf);
-    let gate1 = match mnem_upper {
-        "I" => Some(Gate1::I),
-        "X" => Some(Gate1::X),
-        "Y" => Some(Gate1::Y),
-        "Z" => Some(Gate1::Z),
-        "H" => Some(Gate1::H),
-        "S" => Some(Gate1::S),
-        "SDG" => Some(Gate1::Sdg),
-        "T" => Some(Gate1::T),
-        "TDG" => Some(Gate1::Tdg),
-        "X90" => Some(Gate1::X90),
-        "XM90" => Some(Gate1::Xm90),
-        "Y90" => Some(Gate1::Y90),
-        "YM90" => Some(Gate1::Ym90),
-        "RESET" => Some(Gate1::Reset),
-        _ => None,
-    };
-    if let Some(g) = gate1 {
-        let q = single_operand(&ops, no)?;
-        return Ok(QuantumOp::Gate1(g, parse_qubit(q, no)?));
-    }
-
-    let gate2 = match mnem_upper {
-        "CNOT" => Some(Gate2::Cnot),
-        "CZ" => Some(Gate2::Cz),
-        "SWAP" => Some(Gate2::Swap),
-        _ => None,
-    };
-    if let Some(g) = gate2 {
-        if ops.len() != 2 {
-            return Err(AsmError::new(
-                no,
-                format!("{mnem} requires two qubit operands"),
-            ));
-        }
-        return Ok(QuantumOp::Gate2(
-            g,
-            parse_qubit(ops[0], no)?,
-            parse_qubit(ops[1], no)?,
-        ));
-    }
-
-    if mnem_upper == "MEAS" || mnem_upper == "MEASURE" {
-        let q = single_operand(&ops, no)?;
-        return Ok(QuantumOp::Measure(parse_qubit(q, no)?));
-    }
-
-    Err(AsmError::new(
-        no,
-        format!("unknown quantum mnemonic `{mnem}`"),
-    ))
-}
-
-fn single_operand<'a>(ops: &Operands<'a>, no: usize) -> Result<&'a str, AsmError> {
-    if ops.len() == 1 {
-        Ok(ops[0])
-    } else {
-        Err(AsmError::new(
-            no,
-            format!("expected one operand, got {}", ops.len()),
-        ))
-    }
-}
-
-fn parse_cond(tok: &str, no: usize) -> Result<Cond, AsmError> {
-    Cond::ALL
-        .into_iter()
-        .find(|c| c.mnemonic().eq_ignore_ascii_case(tok))
-        .ok_or_else(|| AsmError::new(no, format!("unknown condition `{tok}`")))
-}
-
-fn parse_condop(tok: &str, no: usize) -> Result<CondOp, AsmError> {
-    CondOp::ALL
-        .into_iter()
-        .find(|c| c.mnemonic().eq_ignore_ascii_case(tok))
-        .ok_or_else(|| AsmError::new(no, format!("unknown conditional op `{tok}`")))
-}
-
-/// Either a numeric address or a label reference.
-fn parse_target(
-    b: &mut ProgramBuilder,
-    tok: &str,
-    cond: Option<Cond>,
-    call: bool,
-    no: usize,
-) -> Result<(), AsmError> {
-    if let Ok(addr) = tok.parse::<u32>() {
-        let op = match (cond, call) {
-            (Some(c), _) => ClassicalOp::Br {
-                cond: c,
-                target: addr,
-            },
-            (None, true) => ClassicalOp::Call { target: addr },
-            (None, false) => ClassicalOp::Jmp { target: addr },
-        };
-        b.push(op);
-        Ok(())
-    } else if is_identifier(tok) {
-        match (cond, call) {
-            (Some(c), _) => b.br_to(c, tok),
-            (None, true) => b.call_to(tok),
-            (None, false) => b.jmp_to(tok),
-        };
-        Ok(())
-    } else {
-        Err(AsmError::new(
-            no,
-            format!("bad control-transfer target `{tok}`"),
-        ))
-    }
-}
-
-fn parse_classical(
-    b: &mut ProgramBuilder,
-    head: &str,
-    rest: &str,
-    no: usize,
-) -> Result<(), AsmError> {
-    let mut buf = [0; MNEMONIC_CAP];
-    let mnem = uppercase(head, &mut buf);
-    let ops = Operands::parse(rest);
-    let wrong_arity = |n: usize| {
-        AsmError::new(
-            no,
-            format!("{mnem} expects {n} operand(s), got {}", ops.len()),
-        )
-    };
-    match mnem {
-        "NOP" => {
-            b.push(ClassicalOp::Nop);
-        }
-        "STOP" => {
-            b.push(ClassicalOp::Stop);
-        }
-        "HALT" => {
-            b.push(ClassicalOp::Halt);
-        }
-        "RET" => {
-            b.push(ClassicalOp::Ret);
-        }
-        "JMP" => {
-            if ops.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            parse_target(b, ops[0], None, false, no)?;
-        }
-        "CALL" => {
-            if ops.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            parse_target(b, ops[0], None, true, no)?;
-        }
-        "BR" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            let cond = parse_cond(ops[0], no)?;
-            parse_target(b, ops[1], Some(cond), false, no)?;
-        }
-        "LDI" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Ldi {
-                rd: parse_reg(ops[0], no)?,
-                imm: parse_imm(ops[1], no)?,
-            });
-        }
-        "MOV" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Mov {
-                rd: parse_reg(ops[0], no)?,
-                rs: parse_reg(ops[1], no)?,
-            });
-        }
-        "ADD" | "SUB" | "AND" | "OR" | "XOR" => {
-            if ops.len() != 3 {
-                return Err(wrong_arity(3));
-            }
-            let rd = parse_reg(ops[0], no)?;
-            let rs1 = parse_reg(ops[1], no)?;
-            let rs2 = parse_reg(ops[2], no)?;
-            b.push(match mnem {
-                "ADD" => ClassicalOp::Add { rd, rs1, rs2 },
-                "SUB" => ClassicalOp::Sub { rd, rs1, rs2 },
-                "AND" => ClassicalOp::And { rd, rs1, rs2 },
-                "OR" => ClassicalOp::Or { rd, rs1, rs2 },
-                _ => ClassicalOp::Xor { rd, rs1, rs2 },
-            });
-        }
-        "ADDI" => {
-            if ops.len() != 3 {
-                return Err(wrong_arity(3));
-            }
-            b.push(ClassicalOp::Addi {
-                rd: parse_reg(ops[0], no)?,
-                rs: parse_reg(ops[1], no)?,
-                imm: parse_imm(ops[2], no)?,
-            });
-        }
-        "NOT" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Not {
-                rd: parse_reg(ops[0], no)?,
-                rs: parse_reg(ops[1], no)?,
-            });
-        }
-        "CMP" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Cmp {
-                rs1: parse_reg(ops[0], no)?,
-                rs2: parse_reg(ops[1], no)?,
-            });
-        }
-        "CMPI" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Cmpi {
-                rs: parse_reg(ops[0], no)?,
-                imm: parse_imm(ops[1], no)?,
-            });
-        }
-        "FMR" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Fmr {
-                rd: parse_reg(ops[0], no)?,
-                qubit: parse_qubit(ops[1], no)?,
-            });
-        }
-        "QWAIT" => {
-            if ops.len() != 1 {
-                return Err(wrong_arity(1));
-            }
-            let cycles: u32 = ops[0]
-                .parse()
-                .map_err(|_| AsmError::new(no, format!("bad QWAIT operand `{}`", ops[0])))?;
-            b.push(ClassicalOp::Qwait {
-                cycles: Cycles::new(cycles),
-            });
-        }
-        "LDS" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Lds {
-                rd: parse_reg(ops[0], no)?,
-                sreg: parse_sreg(ops[1], no)?,
-            });
-        }
-        "STS" => {
-            if ops.len() != 2 {
-                return Err(wrong_arity(2));
-            }
-            b.push(ClassicalOp::Sts {
-                sreg: parse_sreg(ops[0], no)?,
-                rs: parse_reg(ops[1], no)?,
-            });
-        }
-        "MRCE" => {
-            if ops.len() != 4 {
-                return Err(wrong_arity(4));
-            }
-            b.push(ClassicalOp::Mrce {
-                qubit: parse_qubit(ops[0], no)?,
-                target: parse_qubit(ops[1], no)?,
-                op_if_one: parse_condop(ops[2], no)?,
-                op_if_zero: parse_condop(ops[3], no)?,
-            });
-        }
-        _ => {
-            return Err(AsmError::new(
-                no,
-                format!("unknown mnemonic `{}`", head.to_ascii_uppercase()),
-            ))
-        }
-    }
-    Ok(())
+    bytes[i..]
+        .iter()
+        .position(|b| matches!(b, b'q' | b'Q' | b'#' | b';'))
+        .map_or(bytes.len(), |at| i + at)
 }
 
 #[cfg(test)]
