@@ -388,35 +388,19 @@ fn parse_uint(tok: &[u8], max: u32) -> Option<u32> {
     parse_digits(tok.strip_prefix(b"+").unwrap_or(tok)).filter(|&n| n <= max)
 }
 
-/// A head's bytes, ASCII-uppercased and packed little-endian into one
-/// word with the length in the top byte, so a mnemonic compares as one
-/// integer. Heads longer than 7 bytes (`MEASURE` is the longest
-/// mnemonic) pack to 0, which no mnemonic does.
-const fn mnemonic_key(head: &[u8]) -> u64 {
-    if head.len() > 7 {
-        return 0;
-    }
-    let mut key = (head.len() as u64) << 56;
-    let mut i = 0;
-    while i < head.len() {
-        key |= (head[i].to_ascii_uppercase() as u64) << (8 * i);
-        i += 1;
-    }
-    key
-}
+/// Longest mnemonic the assembler knows (`MEASURE`), rounded up: a
+/// longer head matches none, so uppercasing one never needs the heap.
+const MNEMONIC_CAP: usize = 8;
 
-/// The [`mnemonic_key`] of every mnemonic, named after it.
-mod key {
-    macro_rules! keys {
-        ($($name:ident),* $(,)?) => {
-            $(pub const $name: u64 = super::mnemonic_key(stringify!($name).as_bytes());)*
-        };
-    }
-    keys!(
-        I, X, Y, Z, H, S, SDG, T, TDG, X90, XM90, Y90, YM90, RESET, CNOT, CZ, SWAP, MEAS, MEASURE,
-        NOP, STOP, HALT, RET, JMP, CALL, BR, LDI, MOV, ADD, SUB, AND, OR, XOR, ADDI, NOT, CMP,
-        CMPI, FMR, QWAIT, LDS, STS, MRCE,
-    );
+/// `head` uppercased into `buf`, or `b""` (which no mnemonic equals) when
+/// it is longer than any mnemonic.
+fn uppercase<'b>(head: &[u8], buf: &'b mut [u8; MNEMONIC_CAP]) -> &'b [u8] {
+    let Some(dst) = buf.get_mut(..head.len()) else {
+        return b"";
+    };
+    dst.copy_from_slice(head);
+    dst.make_ascii_uppercase();
+    dst
 }
 
 /// Most operands any instruction takes (`MRCE`).
@@ -528,22 +512,23 @@ fn quantum_op(mnem: &[u8], ops: &Operands<'_>, no: usize) -> Result<QuantumOp, A
         ));
     }
 
-    let k = mnemonic_key(mnem);
-    let gate1 = match k {
-        key::I => Some(Gate1::I),
-        key::X => Some(Gate1::X),
-        key::Y => Some(Gate1::Y),
-        key::Z => Some(Gate1::Z),
-        key::H => Some(Gate1::H),
-        key::S => Some(Gate1::S),
-        key::SDG => Some(Gate1::Sdg),
-        key::T => Some(Gate1::T),
-        key::TDG => Some(Gate1::Tdg),
-        key::X90 => Some(Gate1::X90),
-        key::XM90 => Some(Gate1::Xm90),
-        key::Y90 => Some(Gate1::Y90),
-        key::YM90 => Some(Gate1::Ym90),
-        key::RESET => Some(Gate1::Reset),
+    let mut buf = [0; MNEMONIC_CAP];
+    let mnem_upper = uppercase(mnem, &mut buf);
+    let gate1 = match mnem_upper {
+        b"I" => Some(Gate1::I),
+        b"X" => Some(Gate1::X),
+        b"Y" => Some(Gate1::Y),
+        b"Z" => Some(Gate1::Z),
+        b"H" => Some(Gate1::H),
+        b"S" => Some(Gate1::S),
+        b"SDG" => Some(Gate1::Sdg),
+        b"T" => Some(Gate1::T),
+        b"TDG" => Some(Gate1::Tdg),
+        b"X90" => Some(Gate1::X90),
+        b"XM90" => Some(Gate1::Xm90),
+        b"Y90" => Some(Gate1::Y90),
+        b"YM90" => Some(Gate1::Ym90),
+        b"RESET" => Some(Gate1::Reset),
         _ => None,
     };
     if let Some(g) = gate1 {
@@ -551,10 +536,10 @@ fn quantum_op(mnem: &[u8], ops: &Operands<'_>, no: usize) -> Result<QuantumOp, A
         return Ok(QuantumOp::Gate1(g, parse_qubit(q, no)?));
     }
 
-    let gate2 = match k {
-        key::CNOT => Some(Gate2::Cnot),
-        key::CZ => Some(Gate2::Cz),
-        key::SWAP => Some(Gate2::Swap),
+    let gate2 = match mnem_upper {
+        b"CNOT" => Some(Gate2::Cnot),
+        b"CZ" => Some(Gate2::Cz),
+        b"SWAP" => Some(Gate2::Swap),
         _ => None,
     };
     if let Some(g) = gate2 {
@@ -571,7 +556,7 @@ fn quantum_op(mnem: &[u8], ops: &Operands<'_>, no: usize) -> Result<QuantumOp, A
         ));
     }
 
-    if k == key::MEAS || k == key::MEASURE {
+    if mnem_upper == b"MEAS" || mnem_upper == b"MEASURE" {
         let q = single_operand(ops, no)?;
         return Ok(QuantumOp::Measure(parse_qubit(q, no)?));
     }
@@ -648,50 +633,47 @@ fn classical(
     ops: &Operands<'_>,
     no: usize,
 ) -> Result<(), AsmError> {
-    let k = mnemonic_key(head);
+    let mut buf = [0; MNEMONIC_CAP];
+    let mnem = uppercase(head, &mut buf);
     let wrong_arity = |n: usize| {
         AsmError::new(
             no,
-            format!(
-                "{} expects {n} operand(s), got {}",
-                text(head).to_ascii_uppercase(),
-                ops.len()
-            ),
+            format!("{} expects {n} operand(s), got {}", text(mnem), ops.len()),
         )
     };
-    match k {
-        key::NOP => {
+    match mnem {
+        b"NOP" => {
             b.push(ClassicalOp::Nop);
         }
-        key::STOP => {
+        b"STOP" => {
             b.push(ClassicalOp::Stop);
         }
-        key::HALT => {
+        b"HALT" => {
             b.push(ClassicalOp::Halt);
         }
-        key::RET => {
+        b"RET" => {
             b.push(ClassicalOp::Ret);
         }
-        key::JMP => {
+        b"JMP" => {
             if ops.len() != 1 {
                 return Err(wrong_arity(1));
             }
             parse_target(b, ops[0], None, false, no)?;
         }
-        key::CALL => {
+        b"CALL" => {
             if ops.len() != 1 {
                 return Err(wrong_arity(1));
             }
             parse_target(b, ops[0], None, true, no)?;
         }
-        key::BR => {
+        b"BR" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
             let cond = parse_cond(ops[0], no)?;
             parse_target(b, ops[1], Some(cond), false, no)?;
         }
-        key::LDI => {
+        b"LDI" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -700,7 +682,7 @@ fn classical(
                 imm: parse_imm(ops[1], no)?,
             });
         }
-        key::MOV => {
+        b"MOV" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -709,22 +691,22 @@ fn classical(
                 rs: parse_reg(ops[1], no)?,
             });
         }
-        key::ADD | key::SUB | key::AND | key::OR | key::XOR => {
+        b"ADD" | b"SUB" | b"AND" | b"OR" | b"XOR" => {
             if ops.len() != 3 {
                 return Err(wrong_arity(3));
             }
             let rd = parse_reg(ops[0], no)?;
             let rs1 = parse_reg(ops[1], no)?;
             let rs2 = parse_reg(ops[2], no)?;
-            b.push(match k {
-                key::ADD => ClassicalOp::Add { rd, rs1, rs2 },
-                key::SUB => ClassicalOp::Sub { rd, rs1, rs2 },
-                key::AND => ClassicalOp::And { rd, rs1, rs2 },
-                key::OR => ClassicalOp::Or { rd, rs1, rs2 },
+            b.push(match mnem {
+                b"ADD" => ClassicalOp::Add { rd, rs1, rs2 },
+                b"SUB" => ClassicalOp::Sub { rd, rs1, rs2 },
+                b"AND" => ClassicalOp::And { rd, rs1, rs2 },
+                b"OR" => ClassicalOp::Or { rd, rs1, rs2 },
                 _ => ClassicalOp::Xor { rd, rs1, rs2 },
             });
         }
-        key::ADDI => {
+        b"ADDI" => {
             if ops.len() != 3 {
                 return Err(wrong_arity(3));
             }
@@ -734,7 +716,7 @@ fn classical(
                 imm: parse_imm(ops[2], no)?,
             });
         }
-        key::NOT => {
+        b"NOT" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -743,7 +725,7 @@ fn classical(
                 rs: parse_reg(ops[1], no)?,
             });
         }
-        key::CMP => {
+        b"CMP" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -752,7 +734,7 @@ fn classical(
                 rs2: parse_reg(ops[1], no)?,
             });
         }
-        key::CMPI => {
+        b"CMPI" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -761,7 +743,7 @@ fn classical(
                 imm: parse_imm(ops[1], no)?,
             });
         }
-        key::FMR => {
+        b"FMR" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -770,7 +752,7 @@ fn classical(
                 qubit: parse_qubit(ops[1], no)?,
             });
         }
-        key::QWAIT => {
+        b"QWAIT" => {
             if ops.len() != 1 {
                 return Err(wrong_arity(1));
             }
@@ -781,7 +763,7 @@ fn classical(
                 cycles: Cycles::new(cycles),
             });
         }
-        key::LDS => {
+        b"LDS" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -790,7 +772,7 @@ fn classical(
                 sreg: parse_sreg(ops[1], no)?,
             });
         }
-        key::STS => {
+        b"STS" => {
             if ops.len() != 2 {
                 return Err(wrong_arity(2));
             }
@@ -799,7 +781,7 @@ fn classical(
                 rs: parse_reg(ops[1], no)?,
             });
         }
-        key::MRCE => {
+        b"MRCE" => {
             if ops.len() != 4 {
                 return Err(wrong_arity(4));
             }
