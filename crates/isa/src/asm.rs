@@ -398,8 +398,9 @@ fn uppercase<'b>(head: &[u8], buf: &'b mut [u8; MNEMONIC_CAP]) -> &'b [u8] {
     let Some(dst) = buf.get_mut(..head.len()) else {
         return b"";
     };
-    dst.copy_from_slice(head);
-    dst.make_ascii_uppercase();
+    for (d, s) in dst.iter_mut().zip(head) {
+        *d = s.to_ascii_uppercase();
+    }
     dst
 }
 
