@@ -207,9 +207,11 @@ impl<'a> Cursor<'a> {
             // Runs of token characters, with any spaces between them,
             // up to the next comma or the end of the statement.
             while class & (TOKEN | COLON) != 0 {
-                self.skip(TOKEN | COLON);
+                class = self.skip(TOKEN | COLON);
                 op = self.since(start);
-                class = self.skip(SPACE);
+                if class == SPACE {
+                    class = self.skip(SPACE);
+                }
             }
             if !op.is_empty() {
                 ops.push(op);
@@ -263,16 +265,18 @@ fn statement(b: &mut ProgramBuilder, cur: &mut Cursor<'_>, no: usize) -> Result<
     // The head runs to the next space. A label is an identifier directly
     // followed by the line's first colon, so it ends the head's first
     // stretch without a colon.
-    if cur.skip(TOKEN | COMMA) == COLON && is_identifier(cur.since(start)) {
-        b.label(text(cur.since(start)));
-        cur.pos += 1;
-        let head = cur.word();
-        if head.is_empty() {
-            return Ok(());
+    if cur.skip(TOKEN | COMMA) == COLON {
+        if is_identifier(cur.since(start)) {
+            b.label(text(cur.since(start)));
+            cur.pos += 1;
+            let head = cur.word();
+            if head.is_empty() {
+                return Ok(());
+            }
+            return instruction(b, head, cur, no);
         }
-        return instruction(b, head, cur, no);
+        cur.skip(TOKEN | COMMA | COLON);
     }
-    cur.skip(TOKEN | COMMA | COLON);
     instruction(b, cur.since(start), cur, no)
 }
 
