@@ -1,58 +1,43 @@
-//! Mixed-traffic serving benchmark: `JobServer` (cache-cold and
-//! cache-warm) versus a naive per-request compile+run client on one
-//! deterministic heterogeneous request stream.
+//! Serving-path gates: claim batching versus one claim per job, and
+//! the cost of lifecycle telemetry, each on one deterministic stream.
 //!
 //! Usage: `mixed_traffic [--requests N] [--seed S] [--threads T]
-//! [--repeats K] [--machine <file-or-name>] [--json] [--json-out <path>]
-//! [--min-warm-speedup <x>] [--pack] [--min-pack-ratio <x>]
+//! [--repeats K] [--json] [--json-out <path>] [--min-pack-ratio <x>]
 //! [--check-schema <path>] [--trace-out <path>] [--metrics-out <path>]
 //! [--min-obs-ratio <x>] [--check-trace-schema <path>]
 //! [--trace-schema-out <path>]`.
 //!
-//! `--machine` runs every scenario on a declarative machine description
-//! instead of the uniprocessor baseline: a `machines/*.json` path or a
-//! builtin name (`baseline`, `superscalar-8`, `multiprocessor-4`, ...).
+//! The default run is the §3.1.2 multiprogramming comparison: one
+//! small-job-heavy stream served by two warm servers in alternating
+//! passes — one claim per job versus claim batching — with every packed
+//! aggregate asserted bit-identical to its interleaved oracle and both
+//! servers' compile-cache counters asserted equal. `--min-pack-ratio`
+//! exits nonzero when the median per-pair ratio of packed over
+//! interleaved jobs/sec falls below the given floor. `--json-out
+//! BENCH_pack.json` refreshes the committed rows.
 //!
-//! `--pack` switches to the §3.1.2 multiprogramming comparison: one
-//! small-job-heavy stream served twice — one claim per job versus claim
-//! batching — with every packed aggregate asserted bit-identical to its
-//! interleaved oracle and both servers' compile-cache counters asserted
-//! equal. `--min-pack-ratio` exits nonzero when packed jobs/sec fails to
-//! reach the given multiple of interleaved jobs/sec. Its rows have their
-//! own baseline: `--json-out BENCH_pack.json`.
+//! `--min-obs-ratio <x>` runs the obs-overhead comparison instead (the
+//! mixed stream served obs-off and obs-on, aggregates asserted
+//! bit-identical per pair) and exits nonzero when the median obs-on /
+//! obs-off jobs/sec ratio falls below `x`.
 //!
 //! `--check-schema <path>` verifies a committed baseline's JSON schema
 //! fingerprint against this binary's current row type and exits (0
-//! match / 1 drift) without running the benchmark.
+//! match / 1 drift) without running anything.
 //!
-//! `--trace-out <path>` records every job's lifecycle (works with and
-//! without `--pack`), audits the trace — first event accepted, exactly
-//! one terminal, no quantum outside the span — and writes Chrome
-//! trace-event JSON loadable in Perfetto (`ui.perfetto.dev`);
-//! `--metrics-out <path>` writes the recorder's per-scope counter and
-//! latency-histogram snapshot as JSON. `--min-obs-ratio <x>` runs the
-//! obs-overhead comparison instead (the same stream served obs-off and
-//! obs-on, aggregates asserted bit-identical) and exits nonzero when
-//! obs-on throughput falls below `x` times obs-off.
-//! `--check-trace-schema <path>` verifies the committed trace baseline's
-//! fingerprint (refresh it with `--trace-schema-out`).
+//! `--trace-out <path>` records every job's lifecycle, audits the trace
+//! — first event accepted, exactly one terminal, no quantum outside the
+//! span — and writes Chrome trace-event JSON loadable in Perfetto
+//! (`ui.perfetto.dev`); `--metrics-out <path>` writes the recorder's
+//! per-scope counter and latency-histogram snapshot as JSON.
+//! `--check-trace-schema <path>` verifies the committed trace
+//! baseline's fingerprint (refresh it with `--trace-schema-out`).
 //!
-//! Each scenario reports its fastest of `--repeats` passes (default 3),
-//! shedding host scheduler noise — the simulated work is deterministic,
-//! so the minimum is the honest per-scenario estimate.
-//!
-//! Every request's aggregate is asserted bit-identical across the
-//! scenarios (the run is a differential test of the serving layer), so
-//! the throughput numbers compare *equal work*. `--json-out
-//! BENCH_traffic.json` refreshes the committed baseline in one command;
-//! `--min-warm-speedup` exits nonzero when the cache-warm server fails
-//! to beat the naive client by the given factor.
+//! Wall-time figures here back the two ratio gates only; end-to-end
+//! serving throughput and latency are the repository benchmark's
+//! (`perfbench/`) to measure.
 
-use quape_bench::mixed::{
-    run_mixed_traffic_observed, run_obs_overhead, run_packed_traffic_observed, warm_speedup,
-    ScenarioResult,
-};
-use quape_bench::sweep::resolve_machine;
+use quape_bench::mixed::{run_obs_overhead, run_packed_traffic_observed, ScenarioResult};
 use quape_bench::table::{check_schema, to_json, write_json, TextTable};
 use quape_obs::{audit_complete, chrome_trace, Recorder, TraceKind};
 
@@ -61,11 +46,8 @@ struct Args {
     seed: u64,
     threads: usize,
     repeats: usize,
-    machine: Option<String>,
     json: bool,
     json_out: Option<String>,
-    min_warm_speedup: Option<f64>,
-    pack: bool,
     min_pack_ratio: Option<f64>,
     check_schema: Option<String>,
     trace_out: Option<String>,
@@ -81,11 +63,8 @@ fn parse_args() -> Args {
         seed: 7,
         threads: 0,
         repeats: 3,
-        machine: None,
         json: false,
         json_out: None,
-        min_warm_speedup: None,
-        pack: false,
         min_pack_ratio: None,
         check_schema: None,
         trace_out: None,
@@ -107,12 +86,7 @@ fn parse_args() -> Args {
             "--seed" => args.seed = num("--seed") as u64,
             "--threads" => args.threads = num("--threads") as usize,
             "--repeats" => args.repeats = num("--repeats") as usize,
-            "--min-warm-speedup" => args.min_warm_speedup = Some(num("--min-warm-speedup")),
-            "--pack" => args.pack = true,
             "--min-pack-ratio" => args.min_pack_ratio = Some(num("--min-pack-ratio")),
-            "--machine" => {
-                args.machine = Some(it.next().expect("--machine needs a file or builtin name"))
-            }
             "--json" => args.json = true,
             "--json-out" => {
                 args.json_out = Some(it.next().expect("--json-out needs a path"));
@@ -380,69 +354,5 @@ fn main() {
     } else {
         Recorder::off()
     };
-    if args.pack {
-        run_packed(&args, &recorder);
-        return;
-    }
-    let machine = args.machine.as_deref().map(|spec| {
-        resolve_machine(spec)
-            .and_then(|m| m.to_config().map_err(|e| e.to_string()).map(|_| m))
-            .unwrap_or_else(|e| {
-                eprintln!("FAIL: {e}");
-                std::process::exit(1);
-            })
-    });
-    if let Some(spec) = &args.machine {
-        eprintln!("machine: {spec}");
-    }
-    let (rows, tenants) = run_mixed_traffic_observed(
-        machine.as_ref(),
-        args.seed,
-        args.requests,
-        args.threads,
-        args.repeats,
-        &recorder,
-    );
-    // Every cold server instance plus the warm re-drives traced a full
-    // pass each; the weakest floor is one pass of lifecycles.
-    export_obs(&recorder, &args, args.requests);
-    if let Some(path) = &args.json_out {
-        write_json(path, &rows);
-    }
-    if args.json {
-        println!("{}", to_json(&rows));
-    } else {
-        println!(
-            "Mixed-traffic serving: {} requests, seed {} (aggregates verified identical):",
-            args.requests, args.seed
-        );
-        println!("{}", render_rows(&rows));
-        println!("Per-tenant compile-cache accounting (server passes):");
-        let mut tt = TextTable::new(["tenant", "hits", "misses", "evict", "compiles", "hit rate"]);
-        for (tenant, s) in &tenants {
-            let lookups = s.hits + s.misses;
-            let rate = if lookups == 0 {
-                0.0
-            } else {
-                s.hits as f64 / lookups as f64
-            };
-            tt.row([
-                tenant.clone(),
-                s.hits.to_string(),
-                s.misses.to_string(),
-                s.evictions.to_string(),
-                s.compiles.to_string(),
-                format!("{:.0}%", rate * 100.0),
-            ]);
-        }
-        println!("{}", tt.render());
-    }
-    let speedup = warm_speedup(&rows);
-    eprintln!("cache-warm server over naive client: {speedup:.2}x jobs/sec");
-    if let Some(min) = args.min_warm_speedup {
-        if speedup.is_nan() || speedup < min {
-            eprintln!("FAIL: warm speedup {speedup:.3} < required {min:.3}");
-            std::process::exit(1);
-        }
-    }
+    run_packed(&args, &recorder);
 }

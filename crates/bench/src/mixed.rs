@@ -1,26 +1,20 @@
-//! Mixed-traffic serving benchmark: the `JobServer` versus a naive
-//! per-request client on one heterogeneous request stream.
+//! Serving-path gates over one `JobServer` pair: claim batching versus
+//! one claim per job ([`run_packed_traffic`]), and telemetry on versus
+//! off ([`run_obs_overhead`]).
 //!
-//! Three scenarios over the *same* deterministic traffic
-//! ([`quape_workloads::traffic::mixed_traffic`]):
-//!
-//! * **naive** — no service layer: each request assembles its source
-//!   text, compiles a fresh job, and runs its shots sequentially;
-//! * **server_cold** — a fresh [`JobServer`]: every distinct program
-//!   compiles once (content-hash cache misses), repeats hit;
-//! * **server_warm** — the same server again: the whole stream is served
-//!   from the compiled-job cache.
-//!
-//! Every request's latency is measured from one common arrival epoch
-//! (the queue is handed over at t=0 in all three scenarios), so p50/p95
-//! compare the *tenant experience*, and the per-request aggregates are
-//! asserted bit-identical across all scenarios — the benchmark doubles
-//! as a differential test of the serving layer.
+//! Both comparisons serve one deterministic stream from
+//! [`quape_workloads::traffic`] on two cache-warm servers in
+//! alternating passes, assert every request's aggregate bit-identical
+//! across the two sides, and gate on the median per-pair throughput
+//! ratio. Request latency is measured from one common arrival epoch
+//! (the queue is handed over at t=0 in every pass), so p50/p95 compare
+//! the *tenant experience*. End-to-end serving throughput and latency
+//! are measured by the repository benchmark (`perfbench/`), not here.
 
-use crate::support::{factory, percentile, priority_of};
-use quape_core::{CompiledJob, QuapeConfig, ShotEngine};
+use quape_core::QuapeConfig;
 use quape_obs::{ObsScope, Recorder};
-use quape_server::{CacheStats, JobRequest, JobServer, JobSource, PackerStats, ServerConfig};
+use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
+use quape_server::{JobRequest, JobServer, JobSource, PackerStats, Priority, ServerConfig};
 use quape_workloads::traffic::{mixed_traffic, small_job_traffic, TrafficRequest};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -28,7 +22,7 @@ use std::time::Instant;
 /// Host-side measurements of one serving scenario.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioResult {
-    /// `naive`, `server_cold` or `server_warm`.
+    /// `interleaved`, `packed`, `obs_off` or `obs_on`.
     pub scenario: String,
     /// Requests served.
     pub requests: u64,
@@ -42,14 +36,39 @@ pub struct ScenarioResult {
     pub p50_latency_us: u64,
     /// 95th-percentile request latency, microseconds.
     pub p95_latency_us: u64,
-    /// Compile-cache hits in this scenario (0 for naive).
+    /// Compile-cache hits in this scenario.
     pub cache_hits: u64,
-    /// Compile-cache misses in this scenario (= requests for naive).
+    /// Compile-cache misses in this scenario.
     pub cache_misses: u64,
     /// Compile-cache evictions in this scenario.
     pub cache_evictions: u64,
     /// Compilations actually performed.
     pub compiles: u64,
+}
+
+/// The serving gates' QPU backend: a fair coin per measurement, timed
+/// by the configuration in force.
+fn factory(cfg: &QuapeConfig) -> BehavioralQpuFactory {
+    BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 })
+}
+
+/// Maps a [`quape_workloads::traffic::TrafficRequest`] priority class
+/// to the server's type.
+fn priority_of(class: u8) -> Priority {
+    match class {
+        0 => Priority::Low,
+        1 => Priority::Normal,
+        _ => Priority::High,
+    }
+}
+
+/// Nearest-rank percentile over an ascending-sorted slice (0 when
+/// empty).
+fn percentile(sorted_us: &[u64], p: usize) -> u64 {
+    if sorted_us.is_empty() {
+        return 0;
+    }
+    sorted_us[(sorted_us.len() - 1) * p / 100]
 }
 
 fn scenario_row(
@@ -75,36 +94,12 @@ fn scenario_row(
     }
 }
 
-/// Per-request latencies (µs), per-request aggregates, and total wall
-/// time (ms) of one scenario pass.
-type PassMeasurement = (Vec<u64>, Vec<quape_core::BatchAggregate>, f64);
-
 /// Cache-counter delta over one pass: (hits, misses, evictions,
 /// compiles).
 type CacheDelta = (u64, u64, u64, u64);
 
 /// A server pass: latencies, aggregates, wall ms, cache delta.
 type ServerPass = (Vec<u64>, Vec<quape_core::BatchAggregate>, f64, CacheDelta);
-
-/// The naive client: per request, parse + compile + run, sequentially on
-/// one thread. Returns (latencies µs, per-request aggregates).
-fn run_naive(cfg: &QuapeConfig, traffic: &[TrafficRequest], base_seed: u64) -> PassMeasurement {
-    let epoch = Instant::now();
-    let mut latencies = Vec::with_capacity(traffic.len());
-    let mut aggregates = Vec::with_capacity(traffic.len());
-    for (i, r) in traffic.iter().enumerate() {
-        let program = quape_isa::assemble(&r.source).expect("traffic source assembles");
-        let job = CompiledJob::compile(cfg.clone(), program).expect("traffic job compiles");
-        let report = ShotEngine::new(job, factory(cfg))
-            .base_seed(base_seed + i as u64)
-            .threads(1)
-            .run(r.shots);
-        latencies.push(epoch.elapsed().as_micros() as u64);
-        aggregates.push(report.aggregate);
-    }
-    let wall_ms = epoch.elapsed().as_secs_f64() * 1000.0;
-    (latencies, aggregates, wall_ms)
-}
 
 /// One server pass over the traffic. Returns (latencies µs, aggregates,
 /// wall ms, cache-stat delta).
@@ -118,9 +113,8 @@ fn run_server_pass(
     let epoch = Instant::now();
     // Per-request offset of its submission from the common arrival
     // epoch: added to the server-measured submit→completion latency so
-    // all scenarios report arrival-epoch latencies (a request queued
-    // behind earlier submissions' compiles pays that wait too, exactly
-    // as the naive client's sequential queue does).
+    // every pass reports arrival-epoch latencies (a request queued
+    // behind earlier submissions pays that wait too).
     let mut submit_offsets = Vec::with_capacity(traffic.len());
     for (i, r) in traffic.iter().enumerate() {
         submit_offsets.push(epoch.elapsed());
@@ -153,157 +147,6 @@ fn run_server_pass(
         after.compiles - before.compiles,
     );
     (latencies, aggregates, wall_ms, delta)
-}
-
-/// Runs the three scenarios on one deterministic traffic stream and
-/// asserts every request's aggregate is bit-identical across them.
-/// Returns the scenario rows plus the kept server's per-tenant cache
-/// accounting.
-///
-/// `threads = 0` means `available_parallelism` for the server pool (the
-/// naive client is always sequential — it models a tenant with no
-/// service layer in front of the stack). Each scenario executes
-/// `repeats` passes and reports its fastest pass: the simulated work is
-/// deterministic, so repeat variance is pure host noise (scheduler,
-/// frequency scaling) and the minimum is the honest estimate for every
-/// scenario alike.
-pub fn run_mixed_traffic(
-    seed: u64,
-    requests: usize,
-    threads: usize,
-    repeats: usize,
-) -> (Vec<ScenarioResult>, Vec<(String, CacheStats)>) {
-    run_mixed_traffic_on(None, seed, requests, threads, repeats)
-}
-
-/// [`run_mixed_traffic`] on a declarative machine description instead of
-/// the baseline: every scenario (naive, cache-cold, cache-warm) runs the
-/// stream on `machine`'s lowered config. `None` is the paper's
-/// uniprocessor baseline.
-///
-/// # Panics
-///
-/// Panics if `machine` does not lower to a valid config — resolve and
-/// validate it first (e.g. with [`crate::sweep::resolve_machine`]).
-pub fn run_mixed_traffic_on(
-    machine: Option<&quape_core::MachineDescription>,
-    seed: u64,
-    requests: usize,
-    threads: usize,
-    repeats: usize,
-) -> (Vec<ScenarioResult>, Vec<(String, CacheStats)>) {
-    run_mixed_traffic_observed(machine, seed, requests, threads, repeats, &Recorder::off())
-}
-
-/// [`run_mixed_traffic_on`] with lifecycle tracing: every server pass
-/// records into `recorder`. Each server instance gets its own trace
-/// scope (`server-0`, `server-1`, …) because server job ids restart per
-/// instance and the lifecycle audit keys on (scope, job); the last
-/// scope also carries the warm passes, which re-drive the kept server.
-/// Telemetry observes the schedule without steering it, so the
-/// naive/cold/warm bit-identity asserts run unchanged with tracing on.
-pub fn run_mixed_traffic_observed(
-    machine: Option<&quape_core::MachineDescription>,
-    seed: u64,
-    requests: usize,
-    threads: usize,
-    repeats: usize,
-    recorder: &Recorder,
-) -> (Vec<ScenarioResult>, Vec<(String, CacheStats)>) {
-    let repeats = repeats.max(1);
-    let traffic = mixed_traffic(seed, requests);
-    let cfg = machine
-        .map(|m| m.to_config().expect("machine description validates"))
-        .unwrap_or_else(QuapeConfig::uniprocessor)
-        .with_seed(seed);
-    let base_seed = seed.wrapping_mul(1000);
-
-    /// Runs `repeats` passes and keeps the one with the smallest wall
-    /// time (as projected by `wall_of`) — one selection rule for all
-    /// three scenarios.
-    fn best_of<T>(repeats: usize, wall_of: impl Fn(&T) -> f64, mut run: impl FnMut() -> T) -> T {
-        let mut best = run();
-        for _ in 1..repeats {
-            let pass = run();
-            if wall_of(&pass) < wall_of(&best) {
-                best = pass;
-            }
-        }
-        best
-    }
-
-    let (naive_lat, naive_aggs, naive_wall) = best_of(
-        repeats,
-        |p: &PassMeasurement| p.2,
-        || run_naive(&cfg, &traffic, base_seed),
-    );
-
-    // Cold passes each use a fresh server (an empty cache is the
-    // scenario); the last server is kept and re-driven for the warm
-    // passes, which all hit its populated cache.
-    let mut instance = 0u32;
-    let mut new_server = || {
-        let scope = recorder.labeled_scope(instance, &format!("server-{instance}"));
-        instance += 1;
-        JobServer::new(ServerConfig {
-            threads,
-            shot_quantum: 8,
-            cache_capacity: 16,
-            machine: machine.cloned(),
-            packer: false,
-            obs: scope,
-        })
-    };
-    let mut server = None;
-    let (cold_lat, cold_aggs, cold_wall, cold_cache) = best_of(
-        repeats,
-        |p: &ServerPass| p.2,
-        || {
-            let s = server.insert(new_server());
-            run_server_pass(s, &cfg, &traffic, base_seed)
-        },
-    );
-    let server = server.expect("at least one cold pass ran");
-
-    let (warm_lat, warm_aggs, warm_wall, warm_cache) = best_of(
-        repeats,
-        |p: &ServerPass| p.2,
-        || run_server_pass(&server, &cfg, &traffic, base_seed),
-    );
-    assert_eq!(warm_cache.1, 0, "warm passes must not miss the cache");
-
-    for (i, naive) in naive_aggs.iter().enumerate() {
-        assert_eq!(
-            naive, &cold_aggs[i],
-            "request {i}: cold server diverged from the naive client"
-        );
-        assert_eq!(
-            naive, &warm_aggs[i],
-            "request {i}: warm server diverged from the naive client"
-        );
-    }
-
-    let n = traffic.len() as u64;
-    let rows = vec![
-        scenario_row("naive", &traffic, naive_lat, naive_wall, (0, n, 0, n)),
-        scenario_row("server_cold", &traffic, cold_lat, cold_wall, cold_cache),
-        scenario_row("server_warm", &traffic, warm_lat, warm_wall, warm_cache),
-    ];
-    // Per-tenant attribution over the kept server's whole life (the
-    // final cold pass plus every warm pass).
-    (rows, server.tenant_stats())
-}
-
-/// The headline ratio: cache-warm server throughput over the naive
-/// client's, on the matching rows of a [`run_mixed_traffic`] result.
-pub fn warm_speedup(rows: &[ScenarioResult]) -> f64 {
-    let rate = |name: &str| {
-        rows.iter()
-            .find(|r| r.scenario == name)
-            .map(|r| r.jobs_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    rate("server_warm") / rate("naive")
 }
 
 /// Outcome of the packed-vs-interleaved comparison
@@ -550,31 +393,6 @@ pub fn run_obs_overhead(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scenarios_agree_and_cache_behaves() {
-        // Small stream: the differential asserts inside run_mixed_traffic
-        // are the test; here we also pin the cache-behavior shape.
-        let (rows, tenants) = run_mixed_traffic(1, 8, 1, 1);
-        assert_eq!(rows.len(), 3);
-        // Every request named one of the four stream tenants, and the
-        // per-tenant rows account for every lookup of both server passes.
-        assert!(!tenants.is_empty());
-        let attributed: u64 = tenants.iter().map(|(_, s)| s.hits + s.misses).sum();
-        assert_eq!(attributed, 16);
-        let by = |name: &str| rows.iter().find(|r| r.scenario == name).unwrap();
-        let cold = by("server_cold");
-        let warm = by("server_warm");
-        assert_eq!(cold.cache_hits + cold.cache_misses, 8);
-        let pool_len = quape_workloads::traffic::program_pool().len() as u64;
-        assert!(
-            cold.compiles <= pool_len,
-            "at most one compile per distinct program"
-        );
-        assert_eq!(warm.cache_misses, 0, "second pass is fully cache-warm");
-        assert_eq!(warm.compiles, 0);
-        assert_eq!(warm.cache_hits, 8);
-    }
 
     #[test]
     fn packed_scenario_packs_and_matches_its_oracle() {

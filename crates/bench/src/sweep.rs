@@ -78,24 +78,6 @@ pub fn load_machines_dir(dir: &str) -> Result<Vec<SweepMachine>, String> {
     Ok(machines)
 }
 
-/// Resolves a `--machine` argument: a description file if `spec` names
-/// one on disk, otherwise a builtin description name
-/// ([`quape_core::BUILTIN_NAMES`], `superscalar-<w>`,
-/// `multiprocessor-<n>`). The description is validated either way.
-///
-/// # Errors
-///
-/// A human-readable message: unreadable/unparseable file, or an unknown
-/// builtin name.
-pub fn resolve_machine(spec: &str) -> Result<MachineDescription, String> {
-    if std::path::Path::new(spec).is_file() {
-        let text = std::fs::read_to_string(spec).map_err(|e| format!("cannot read {spec}: {e}"))?;
-        MachineDescription::from_json(&text).map_err(|e| format!("{spec}: {e}"))
-    } else {
-        MachineDescription::builtin(spec).map_err(|e| e.to_string())
-    }
-}
-
 /// Checks that every `*.json` description in `dir` round-trips through
 /// serde *byte-identically*: parsing the file and re-serializing it with
 /// [`MachineDescription::to_json`] must reproduce the committed bytes
@@ -328,24 +310,6 @@ mod tests {
         // And the same machine reproduces the same fingerprint.
         let rows2 = run_sweep(&machines, 7, 2).expect("sweep runs");
         assert_eq!(rows, rows2);
-    }
-
-    #[test]
-    fn resolve_machine_accepts_files_and_builtin_names() {
-        assert_eq!(
-            resolve_machine("superscalar-8").unwrap(),
-            MachineDescription::superscalar(8)
-        );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../machines/baseline.json");
-        assert_eq!(
-            resolve_machine(path).unwrap(),
-            MachineDescription::baseline()
-        );
-        let err = resolve_machine("no-such-machine").unwrap_err();
-        assert!(
-            err.contains("no-such-machine"),
-            "error names the spec: {err}"
-        );
     }
 
     #[test]

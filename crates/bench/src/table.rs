@@ -248,7 +248,7 @@ pub fn check_schema(path: &str, current: &str) -> Result<(), String> {
     let stale: Vec<_> = have.iter().filter(|p| !want.contains(p)).collect();
     Err(format!(
         "schema drift in {path}: committed baseline lacks {missing:?}, has stale {stale:?} — \
-         refresh it with the binary's --json-out"
+         refresh the committed baseline"
     ))
 }
 

@@ -821,13 +821,14 @@ fn classical(
 /// their qubit references with the one audited counting rule,
 /// [`qubit_span`](crate::qubit_span). A token counts when `q` or `Q`
 /// starts at a word boundary (not after a letter, digit or `_`), is
-/// followed by digits only up to the next byte that is not a letter,
-/// digit or `_`, lies before any `#` or `;` on its line, and its digits
-/// fit a `u16` (longer ones are skipped, never overflowed). On text
-/// produced by [`Program`]'s display (the round-trip format every
-/// generator in this workspace emits) it is exact; on hand-written text
-/// a `q`-prefixed label could over-count, which errs toward *rejecting*
-/// a shard, never toward a silent capacity overrun.
+/// followed by one optional `+` and then digits only up to the next byte
+/// that is not a letter, digit or `_`, lies before any `#` or `;` on its
+/// line, and its digits fit a `u16` (longer ones are skipped, never
+/// overflowed). On text produced by [`Program`]'s display (the
+/// round-trip format every generator in this workspace emits) it is
+/// exact; on hand-written text a `q`-prefixed label could over-count,
+/// which errs toward *rejecting* a shard, never toward a silent
+/// capacity overrun.
 ///
 /// ```
 /// use quape_isa::scan_qubit_count;
@@ -849,7 +850,8 @@ pub fn scan_qubit_count(source: &str) -> u16 {
             }
             _ if i > 0 && is_ident_byte(bytes[i - 1]) => i += 1,
             _ => {
-                let start = i + 1;
+                // One optional `+` before the digits, as `parse_uint` reads.
+                let start = i + 1 + usize::from(bytes.get(i + 1) == Some(&b'+'));
                 i = start;
                 // Saturates one past `u16::MAX`, so a 40-digit token
                 // neither overflows nor counts.
@@ -1088,6 +1090,9 @@ STOP
             "0 H q1x\n",
             "0 H q\n",
             "0 H q_1\n",
+            "0 H q+\n",
+            "0 H q++9\n",
+            "0 H xq+9\n",
         ] {
             assert_eq!(scan_qubit_count(text), 0, "{text:?}");
         }
@@ -1095,6 +1100,9 @@ STOP
         assert_eq!(scan_qubit_count("q1q2\n"), 0);
         assert_eq!(scan_qubit_count("(q3)\n"), 4);
         assert_eq!(scan_qubit_count("0 H q0007\n"), 8);
+        // One `+` may sign the index, as the assembler reads it.
+        assert_eq!(scan_qubit_count("0 H q+9\n"), 10);
+        assert_eq!(scan_qubit_count("0 H Q+2, q+\n"), 3);
         assert_eq!(scan_qubit_count(""), 0);
         assert_eq!(scan_qubit_count("\n\n"), 0);
     }

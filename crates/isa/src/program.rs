@@ -330,15 +330,18 @@ impl fmt::Display for Program {
     /// blocks must be non-overlapping and sorted for faithful printing).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut starts: BTreeMap<usize, Vec<BlockId>> = BTreeMap::new();
-        let mut ends: BTreeMap<usize, Vec<BlockId>> = BTreeMap::new();
+        let mut ends: BTreeMap<usize, usize> = BTreeMap::new();
         for (id, b) in self.blocks.iter() {
             starts.entry(b.range.start as usize).or_default().push(id);
-            ends.entry(b.range.end as usize).or_default().push(id);
+            // An empty block closes right where it opens, below.
+            if !b.range.is_empty() {
+                *ends.entry(b.range.end as usize).or_default() += 1;
+            }
         }
-        let mut current_step: Option<StepId> = None;
-        for (addr, instr) in self.instructions.iter().enumerate() {
-            for id in ends.get(&addr).into_iter().flatten() {
-                let _ = id;
+        // Closes the blocks ending at `addr`, then opens those starting
+        // there (an empty one with its `.endblock` right after it).
+        let boundary = |f: &mut fmt::Formatter<'_>, addr: usize| -> fmt::Result {
+            for _ in 0..ends.get(&addr).copied().unwrap_or(0) {
                 writeln!(f, ".endblock")?;
             }
             for id in starts.get(&addr).into_iter().flatten() {
@@ -356,7 +359,15 @@ impl fmt::Display for Program {
                         writeln!(f, ".block {} deps={}", b.name, names.join(","))?
                     }
                 }
+                if b.range.is_empty() {
+                    writeln!(f, ".endblock")?;
+                }
             }
+            Ok(())
+        };
+        let mut current_step: Option<StepId> = None;
+        for (addr, instr) in self.instructions.iter().enumerate() {
+            boundary(f, addr)?;
             let step = self.step_of(addr);
             if step != current_step {
                 match step {
@@ -367,10 +378,7 @@ impl fmt::Display for Program {
             }
             writeln!(f, "    {instr}")?;
         }
-        for _ in ends.get(&self.instructions.len()).into_iter().flatten() {
-            writeln!(f, ".endblock")?;
-        }
-        Ok(())
+        boundary(f, self.instructions.len())
     }
 }
 
@@ -745,23 +753,42 @@ mod tests {
 
     #[test]
     fn display_roundtrips_through_assembler() {
-        let mut b = ProgramBuilder::new();
-        b.begin_block("w1", Dependency::Priority(0));
-        b.set_step(Some(StepId(0)));
-        b.push(h(0));
-        b.push(h(1));
-        b.set_step(None);
-        b.push(ClassicalOp::Stop);
-        b.end_block();
-        b.begin_block("w2", Dependency::Priority(1));
-        b.set_step(Some(StepId(1)));
-        b.push(h(2));
-        b.set_step(None);
-        b.push(ClassicalOp::Stop);
-        b.end_block();
-        let p = b.finish().unwrap();
-        let text = p.to_string();
-        let q = crate::assemble(&text).unwrap();
-        assert_eq!(p, q);
+        // Empty blocks at the start, between the two filled ones and at
+        // the end, alone and all at once.
+        for empty_at in [
+            [false; 3],
+            [true, false, false],
+            [false, true, false],
+            [false, false, true],
+            [true; 3],
+        ] {
+            let mut b = ProgramBuilder::new();
+            let empty = |b: &mut ProgramBuilder, at: usize| {
+                if empty_at[at] {
+                    b.begin_block(format!("e{at}"), Dependency::Priority(0));
+                    b.end_block();
+                }
+            };
+            empty(&mut b, 0);
+            b.begin_block("w1", Dependency::Priority(0));
+            b.set_step(Some(StepId(0)));
+            b.push(h(0));
+            b.push(h(1));
+            b.set_step(None);
+            b.push(ClassicalOp::Stop);
+            b.end_block();
+            empty(&mut b, 1);
+            b.begin_block("w2", Dependency::Priority(1));
+            b.set_step(Some(StepId(1)));
+            b.push(h(2));
+            b.set_step(None);
+            b.push(ClassicalOp::Stop);
+            b.end_block();
+            empty(&mut b, 2);
+            let p = b.finish().unwrap();
+            let text = p.to_string();
+            let q = crate::assemble(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(p, q, "{text}");
+        }
     }
 }

@@ -26,9 +26,10 @@ fn arb_text() -> impl Strategy<Value = String> {
 }
 
 /// The scan's token rules, read the obvious way: split into lines, cut
-/// each at its first `#` or `;`, and count every `q<digits>` (either
-/// case) that starts at a word boundary and ends before a
-/// non-alphanumeric, non-`_` byte, when its digits parse as a `u16`.
+/// each at its first `#` or `;`, and count every `q<digits>` or
+/// `q+<digits>` (either case) that starts at a word boundary and ends
+/// before a non-alphanumeric, non-`_` byte, when its digits parse as a
+/// `u16`.
 fn naive_scan(source: &str) -> u16 {
     let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut indices = Vec::new();
@@ -38,7 +39,11 @@ fn naive_scan(source: &str) -> u16 {
         let mut i = 0;
         while i < bytes.len() {
             if (i == 0 || !word(bytes[i - 1])) && matches!(bytes[i], b'q' | b'Q') {
-                let start = i + 1;
+                let start = if bytes.get(i + 1) == Some(&b'+') {
+                    i + 2
+                } else {
+                    i + 1
+                };
                 let mut end = start;
                 while end < bytes.len() && bytes[end].is_ascii_digit() {
                     end += 1;
@@ -64,7 +69,7 @@ fn naive_scan(source: &str) -> u16 {
 fn scan_tokens_straddle_word_edges() {
     let tokens = [
         "q7", "Q12", "q65535", "q65536", "q0007", "q1x", "_q3", "q", "#", ";", "# q9", "; q9",
-        "#\nq4", "q\u{a0}5", "é q6",
+        "#\nq4", "q\u{a0}5", "é q6", "q+9", "q+", "q++9", "xq+9",
     ];
     let pads = [" ", "a", "\n", "\r", "9"];
     let tails = ["", " q3\n", "\n", "x", "5 q2", ",q11", "\n;q9\nq1"];

@@ -41,8 +41,9 @@ pub struct TenantStatsRow {
 }
 
 /// A point-in-time snapshot of the whole fleet
-/// ([`Router::fleet_snapshot`](crate::Router::fleet_snapshot)) — the
-/// `--metrics-out` payload of `sharded_traffic`.
+/// ([`Router::fleet_snapshot`](crate::Router::fleet_snapshot)). Its
+/// JSON shape is pinned by the committed `BENCH_fleet.json` sample
+/// (`crates/bench/tests/fleet_snapshot.rs`).
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct FleetSnapshot {
     /// Per-shard state, by shard index.

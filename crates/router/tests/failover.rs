@@ -407,53 +407,59 @@ fn nested_block_text_fails_typed_and_the_door_keeps_serving() {
 
 /// The documented DRR starvation bound: while a hog floods the fleet, a
 /// 1-shot tenant's queue wait (in dispatched shots) stays bounded by
-/// the hog's quantum — never by the hog's backlog.
+/// the hog's quantum — never by the hog's backlog. With several mouse
+/// tenants, each mouse also waits out the other mice's quanta.
 #[test]
 fn drr_bounds_mouse_wait_under_hog_flood() {
     let quantum = 64u64;
     let hog_job = 32u64;
-    let door = FrontDoor::new(
-        fleet(2, Placement::RoundRobin),
-        AdmissionConfig {
-            tenant_budget_shots: 1 << 30,
-            quantum_shots: quantum,
-            fleet_window_shots: 64,
-            weights: Vec::new(),
-        },
-    );
-    let mut hog_jobs = Vec::new();
-    for i in 0..60 {
-        hog_jobs.push(
-            door.submit(request(&format!("hog{i}"), 0, hog_job, i).tenant("hog"))
-                .unwrap(),
+    for mouse_tenants in [1u64, 3] {
+        let door = FrontDoor::new(
+            fleet(2, Placement::RoundRobin),
+            AdmissionConfig {
+                tenant_budget_shots: 1 << 30,
+                quantum_shots: quantum,
+                fleet_window_shots: 64,
+                weights: Vec::new(),
+            },
         );
+        let mut hog_jobs = Vec::new();
+        for i in 0..60 {
+            hog_jobs.push(
+                door.submit(request(&format!("hog{i}"), 0, hog_job, i).tenant("hog"))
+                    .unwrap(),
+            );
+        }
+        let mut mice = Vec::new();
+        for i in 0..20 {
+            let tenant = format!("mouse{}", i % mouse_tenants);
+            mice.push(
+                door.submit(request(&format!("mouse{i}"), 0, 1, 1000 + i).tenant(tenant))
+                    .unwrap(),
+            );
+        }
+        // Per DRR round the hog earns `quantum` deficit and can overshoot
+        // by at most one whole job, and each other mouse tenant by its
+        // 1-shot job; the mouse is served at latest on its queue's next
+        // visit, one round later. Twice that covers an arrival that just
+        // missed its queue's turn.
+        let bound = 2 * (quantum + hog_job) + (mouse_tenants - 1) * 2 * (quantum + 1);
+        for (i, mouse) in mice.iter().enumerate() {
+            mouse.wait().unwrap();
+            let waited = mouse.dispatch_seq().expect("dispatched") - mouse.arrival_seq();
+            assert!(
+                waited <= bound,
+                "mouse{i} of {mouse_tenants} tenants waited {waited} dispatched shots \
+                 (> bound {bound})"
+            );
+        }
+        for hog in &hog_jobs {
+            hog.wait().unwrap();
+        }
+        let log = door.dispatch_log();
+        assert_eq!(log.len(), 80, "every admitted job dispatched exactly once");
+        door.drain().unwrap();
     }
-    let mut mice = Vec::new();
-    for i in 0..20 {
-        mice.push(
-            door.submit(request(&format!("mouse{i}"), 0, 1, 1000 + i).tenant("mouse"))
-                .unwrap(),
-        );
-    }
-    // Per DRR round the hog earns `quantum` deficit and can overshoot by
-    // at most one whole job; the mouse is served at latest on its
-    // queue's next visit, one round later. Twice that covers an
-    // arrival that just missed its queue's turn.
-    let bound = 2 * (quantum + hog_job);
-    for (i, mouse) in mice.iter().enumerate() {
-        mouse.wait().unwrap();
-        let waited = mouse.dispatch_seq().expect("dispatched") - mouse.arrival_seq();
-        assert!(
-            waited <= bound,
-            "mouse{i} waited {waited} dispatched shots (> bound {bound})"
-        );
-    }
-    for hog in &hog_jobs {
-        hog.wait().unwrap();
-    }
-    let log = door.dispatch_log();
-    assert_eq!(log.len(), 80, "every admitted job dispatched exactly once");
-    door.drain().unwrap();
 }
 
 proptest! {

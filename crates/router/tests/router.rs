@@ -10,6 +10,7 @@ use quape_qpu::{BehavioralQpuFactory, MeasurementModel};
 use quape_router::{Placement, RoutedResult, Router, RouterConfig};
 use quape_server::{JobRequest, JobResult, JobSource, ServerConfig};
 use quape_workloads::feedback::{conditional_x, feedback_chain, mrce_feedback_chain};
+use quape_workloads::traffic::sharded_traffic;
 
 fn cfg() -> QuapeConfig {
     QuapeConfig::superscalar(4)
@@ -165,7 +166,8 @@ fn least_loaded_avoids_the_busy_shard() {
 
 /// Sticky routing keeps one program's cache entries on one shard: the
 /// fleet compiles each distinct program exactly once, wherever
-/// round-robin would compile it on every shard it touches.
+/// round-robin would compile it on every shard it touches — and a
+/// primed sticky fleet misses its caches 0 times in steady state.
 #[test]
 fn sticky_routing_compiles_each_program_once_fleet_wide() {
     // 7 distinct programs over 3 shards: coprime, so round-robin really
@@ -223,6 +225,55 @@ fn sticky_routing_compiles_each_program_once_fleet_wide() {
         rr_compiles > distinct as u64,
         "round-robin recompiles across shards ({rr_compiles} <= {distinct})"
     );
+
+    // Under cache pressure — 12 catalog programs, 4 shards of 4 cache
+    // entries — a primed sticky fleet serves a whole pass without one
+    // miss, while round-robin keeps thrashing every shard's cache.
+    let traffic = sharded_traffic(7, 48, 12);
+    let c = QuapeConfig::uniprocessor().with_seed(7);
+    let steady_misses = |placement| {
+        let r = Router::new(RouterConfig {
+            shards: 4,
+            placement,
+            shard: ServerConfig {
+                threads: 1,
+                shot_quantum: 8,
+                cache_capacity: 4,
+                machine: None,
+                obs: Default::default(),
+                packer: false,
+            },
+            ..RouterConfig::default()
+        });
+        let pass = || {
+            let jobs: Vec<_> = traffic
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    let req = JobRequest::new(
+                        t.name.clone(),
+                        JobSource::Text(t.source.clone()),
+                        c.clone(),
+                        coin(&c),
+                        t.shots,
+                    )
+                    .base_seed(i as u64);
+                    r.submit(req).unwrap()
+                })
+                .collect();
+            for job in jobs {
+                job.handle.wait().unwrap();
+            }
+            r.cache_stats().iter().map(|s| s.misses).sum::<u64>()
+        };
+        let primed = pass();
+        let misses = pass() - primed;
+        r.drain().unwrap();
+        misses
+    };
+    assert_eq!(steady_misses(Placement::StickyByDigest), 0);
+    let rr_misses = steady_misses(Placement::RoundRobin);
+    assert!(rr_misses > 0, "round-robin stayed cache-steady");
 }
 
 /// Per-tenant stats fold across shards.
