@@ -113,15 +113,15 @@ fn live_snapshot_under_a_kill_audits_clean_within_the_sample() {
         victim: 0,
         after_submits: traffic.len() / 3,
     };
+    let factory =
+        BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
     let mut admitted = Vec::with_capacity(traffic.len());
     for (i, r) in traffic.iter().enumerate() {
-        let factory =
-            BehavioralQpuFactory::new(cfg.timings, MeasurementModel::Bernoulli { p_one: 0.5 });
         let req = JobRequest::new(
             r.name.clone(),
             JobSource::Text(r.source.clone()),
             cfg.clone(),
-            factory,
+            factory.clone(),
             r.shots,
         )
         .base_seed(i as u64)

@@ -272,8 +272,10 @@ fn sticky_routing_compiles_each_program_once_fleet_wide() {
         misses
     };
     assert_eq!(steady_misses(Placement::StickyByDigest), 0);
-    let rr_misses = steady_misses(Placement::RoundRobin);
-    assert!(rr_misses > 0, "round-robin stayed cache-steady");
+    assert!(
+        steady_misses(Placement::RoundRobin) > 0,
+        "round-robin stayed cache-steady"
+    );
 }
 
 /// Per-tenant stats fold across shards.
